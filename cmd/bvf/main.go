@@ -9,7 +9,7 @@
 //	    [-nosanitize] [-v]
 //	    [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	    [-supervise] [-max-restarts N] [-watchdog D]
-//	    [-triage] [-findings-dir DIR] [-oracle] [-cache]
+//	    [-triage] [-findings-dir DIR] [-oracle] [-cache=false]
 //	    [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	bvf -worker [-coordinator URL] [-worker-name NAME]
 //	bvf -submit [-coordinator URL] [-token T] [campaign flags]
@@ -53,6 +53,11 @@
 // -findings-dir persists gauntlet state per finding (crash-consistent,
 // like -checkpoint); a resumed run — even one whose fuzzing quota is
 // already met — picks up any gauntlet left unfinished by a crash.
+//
+// The verdict cache (on by default, like bvf-bench) memoizes verifier
+// verdicts and trace-prefix snapshots across shards. It changes how fast
+// verdicts are reached, never which: -cache=false verifies every program
+// from scratch with bit-identical results.
 package main
 
 import (
@@ -100,7 +105,7 @@ func run() int {
 		doTriage    = flag.Bool("triage", true, "run every finding through the validation gauntlet")
 		findingsDir = flag.String("findings-dir", "", "directory for the crash-safe finding store (empty: in-memory)")
 		oracleFlag  = flag.Bool("oracle", false, "differentially check abstract verifier state against concrete execution (indicator 3)")
-		cacheFlag   = flag.Bool("cache", false, "memoize verifier verdicts in a cross-shard cache (incremental re-verification)")
+		cacheFlag   = flag.Bool("cache", true, "memoize verifier verdicts in a cross-shard cache (incremental re-verification); results are identical with -cache=false, which verifies every program from scratch")
 
 		workerMode  = flag.Bool("worker", false, "run as an orchestrator worker: lease and execute units from -coordinator")
 		coordinator = flag.String("coordinator", "http://127.0.0.1:8377", "bvfd coordinator URL for -worker mode and the campaign subcommands")

@@ -32,8 +32,8 @@ import (
 //   - entries never store kernel addresses. Map references are stored as
 //     FDs and rebound through Config.MapByFD on every hit, and the fixed-up
 //     program is re-derived from the original program on every hit
-//     (refixup), because map kernel addresses are not stable across kernel
-//     recycles;
+//     (fixupProgram, shared with the scratch path), because map kernel
+//     addresses are not stable across kernel recycles;
 //   - a hit that cannot be rebound (stale FD, missing resolver) falls back
 //     to scratch verification instead of erroring;
 //   - watchdog timeouts are never cached: a TimeoutError is a harness
@@ -165,12 +165,9 @@ func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.SiteC
 func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, error, bool) {
 	var used []*maps.Map
 	if n := len(v.UsedMapFDs); n > 0 {
-		if cfg.MapByFD == nil {
-			return nil, nil, false
-		}
 		used = make([]*maps.Map, n)
 		for i, fd := range v.UsedMapFDs {
-			m := cfg.MapByFD(fd)
+			m := cfg.mapByFD(fd)
 			if m == nil {
 				return nil, nil, false
 			}
@@ -179,9 +176,10 @@ func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, er
 	}
 	var fixed *isa.Program
 	if !v.Rejected {
-		var ok bool
-		fixed, ok = refixup(prog, cfg, v.ProbeMem)
-		if !ok {
+		// The fixed-up program is re-derived through the scratch path's
+		// own fixup; a failure leaves the authoritative rejection to the
+		// scratch verification the caller falls back to.
+		if fixed, _, _ = fixupProgram(prog, cfg, v.ProbeMem); fixed == nil {
 			return nil, nil, false
 		}
 	}
@@ -199,43 +197,6 @@ func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, er
 		UsedMaps:      used,
 		R0Bounds:      v.R0Bounds,
 	}, nil, true
-}
-
-// refixup re-derives the fixed-up program from the original on a cache
-// hit. It mirrors env.fixup exactly (fixup.go) but reports failure instead
-// of constructing a rejection — a false return falls back to scratch
-// verification, which re-produces the authoritative error.
-func refixup(prog *isa.Program, cfg *Config, probeMem map[int]bool) (*isa.Program, bool) {
-	out := prog.Clone()
-	for i := range out.Insns {
-		ins := &out.Insns[i]
-		if ins.IsWide() {
-			switch ins.Src {
-			case isa.PseudoMapFD:
-				m := cfg.MapByFD(int32(ins.Imm64))
-				if m == nil {
-					return nil, false
-				}
-				rewriteImm64(ins, m.KernAddr)
-			case isa.PseudoMapValue:
-				m := cfg.MapByFD(int32(uint32(ins.Imm64)))
-				if m == nil || m.Type != maps.Array {
-					return nil, false
-				}
-				off := uint64(uint32(ins.Imm64 >> 32))
-				rewriteImm64(ins, m.ValueAllocation().BaseAddr+off)
-			case isa.PseudoBTFID:
-				if cfg.BTFVarAddr == nil {
-					return nil, false
-				}
-				rewriteImm64(ins, cfg.BTFVarAddr(int32(ins.Imm64)))
-			}
-		}
-		if probeMem[i] && ins.IsMemLoad() {
-			ins.Meta.ProbeMem = true
-		}
-	}
-	return out, true
 }
 
 // PrefixSnapshot is the abstract state at the end of a program's trace
@@ -409,65 +370,28 @@ func (e *env) tracePrefix() ([]int32, int) {
 	return pcs, pc
 }
 
-// runTrace simulates the forced trace pcs on st, mirroring runPath's
-// per-instruction sequence exactly (budget check, watchdog cadence, class
-// dispatch) so a scratch run and the run that captured a snapshot account
-// identically. JA jumps, bpf-to-bpf calls, and subframe exits go through
-// checkJmp like anywhere else — including the pruneOrRecord snapshot at
-// each JA target — which is what makes the captured env state complete.
+// runTrace simulates the forced trace pcs on st through the same stepper
+// runPath loops over, so a scratch run and the run that captured a
+// snapshot account identically. JA jumps, bpf-to-bpf calls, and subframe
+// exits go through checkJmp like anywhere else — including the
+// pruneOrRecord snapshot at each JA target — which is what makes the
+// captured env state complete.
 func (e *env) runTrace(st *State, pcs []int32) error {
-	for k := 0; k < len(pcs); k++ {
+	for k, pc := range pcs {
 		i := st.Insn
-		if i != int(pcs[k]) {
+		if i != int(pc) {
 			// Cannot happen: the builder mirrors the interpreter's control
 			// flow. Reject loudly rather than capture a wrong snapshot.
 			return e.reject(i, EINVAL, "internal: trace diverged at step %d", k)
 		}
-		e.insnProcessed++
-		if e.insnProcessed > e.cfg.MaxInsnProcessed {
-			return e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
+		// Conditional jumps are never in a trace, JA targets are first
+		// visits (never pruned), so done/sibling are impossible.
+		done, sibling, err := e.step(st)
+		if err != nil {
+			return err
 		}
-		if e.insnProcessed&255 == 0 {
-			if err := e.watchdog(); err != nil {
-				return err
-			}
-		}
-		ins := e.prog.Insns[i]
-		switch ins.Class() {
-		case isa.ClassALU, isa.ClassALU64:
-			if err := e.checkALU(st, i, ins); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLD:
-			if err := e.checkLDImm(st, i, ins); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLDX:
-			if err := e.checkMemAccess(st, i, ins, false); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassST, isa.ClassSTX:
-			if err := e.checkMemAccess(st, i, ins, true); err != nil {
-				return err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassJMP, isa.ClassJMP32:
-			// Conditional jumps are never in a trace, JA targets are
-			// first visits (never pruned), so done/sibling are impossible.
-			done, sibling, err := e.checkJmp(st, i, ins)
-			if err != nil {
-				return err
-			}
-			if done || sibling != nil {
-				return e.reject(i, EINVAL, "internal: branch inside trace prefix")
-			}
+		if done || sibling != nil {
+			return e.reject(i, EINVAL, "internal: branch inside trace prefix")
 		}
 	}
 	return nil
@@ -532,7 +456,7 @@ func (e *env) capturePrefix(st *State, canon []byte, nExec int) *PrefixSnapshot 
 func (e *env) applyPrefixSnapshot(snap *PrefixSnapshot) (*State, bool) {
 	resolved := make([]*maps.Map, len(snap.UsedMapFDs))
 	for i, fd := range snap.UsedMapFDs {
-		m := e.mapByFD(fd)
+		m := e.cfg.mapByFD(fd)
 		if m == nil {
 			return nil, false
 		}
@@ -629,7 +553,7 @@ func (e *env) rebindReg(reg *RegState) bool {
 	if reg.Map == nil {
 		return true
 	}
-	m := e.mapByFD(reg.Map.FD)
+	m := e.cfg.mapByFD(reg.Map.FD)
 	if m == nil {
 		return false
 	}
@@ -651,8 +575,8 @@ func (e *env) exportCov(dst *[]coverage.SiteCount) {
 //
 // Capture is gated on recurrence: the first sighting of a trace
 // fingerprint only notes it (a streamed hash, no allocation) and lets the
-// normal worklist exploration run the trace — runTrace mirrors runPath
-// instruction for instruction, so the two routes are bit-identical. Only
+// normal worklist exploration run the trace — runTrace and runPath loop
+// over the same stepper, so the two routes are bit-identical. Only
 // a trace seen a second time pays for canonical bytes, the boundary
 // simulation, and the deep state clones the snapshot retains. One-shot
 // traces — the overwhelming majority under a mutating generator — thus
@@ -662,11 +586,11 @@ func (e *env) prefixPrepass(st *State) (*State, error) {
 	if len(pcs) < minPrefixInsns {
 		return st, nil
 	}
-	fp := traceFingerprint(e.prog, pcs, end)
+	fp := uint64(walkTrace(e.prog, pcs, end, hashSink(fpOffset64)))
 	if !e.cfg.Cache.NotePrefix(fp) {
 		return st, nil
 	}
-	canon := canonicalTraceBytes(e.prog, pcs, end)
+	canon := walkTrace(e.prog, pcs, end, make(appendSink, 0, 14+len(e.prog.AttachTo)+22*len(pcs)))
 	if snap := e.cfg.Cache.LookupPrefix(fp, canon); snap != nil {
 		if rst, ok := e.applyPrefixSnapshot(snap); ok {
 			e.releaseState(st)

@@ -20,20 +20,50 @@ import (
 )
 
 // newEquivKernel builds a kernel with a small map pool so fuzzed programs
-// can exercise the map-rebinding path of cache hits. The first CreateMap
-// gets FD 100 — the seed corpus hardcodes it.
-func newEquivKernel(tb testing.TB) *kernel.Kernel {
+// can exercise the map-rebinding path of cache hits. It returns the FD of
+// the first map (the 64-byte array), which the map seed program loads.
+func newEquivKernel(tb testing.TB) (*kernel.Kernel, int32) {
 	tb.Helper()
 	k := kernel.New(kernel.Config{Version: kernel.BPFNext})
-	for _, spec := range []maps.Spec{
+	var first int32
+	for i, spec := range []maps.Spec{
 		{Type: maps.Array, KeySize: 4, ValueSize: 64, MaxEntries: 4, Name: "arr64"},
 		{Type: maps.Hash, KeySize: 4, ValueSize: 8, MaxEntries: 8, Name: "hash8"},
 	} {
-		if _, err := k.CreateMap(spec); err != nil {
+		fd, err := k.CreateMap(spec)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		if i == 0 {
+			first = fd
+		}
 	}
-	return k
+	return k, first
+}
+
+// mapSeedProgram loads the map with the given FD and sets up a lookup
+// key: an accepted program whose cache hits must rebind the FD and
+// re-run fixup.
+func mapSeedProgram(fd int32) []isa.Instruction {
+	return []isa.Instruction{
+		isa.LoadMapFD(isa.R9, fd),
+		isa.StoreImm(isa.SizeW, isa.R10, -4, 0),
+		isa.Mov64Reg(isa.R2, isa.R10),
+		isa.Alu64Imm(isa.ALUAdd, isa.R2, -4),
+		isa.Mov64Reg(isa.R1, isa.R9),
+		isa.Mov64Imm(isa.R0, 0),
+		isa.Exit(),
+	}
+}
+
+// equivProgram builds the program FuzzVerifyCacheEquivalence verifies for
+// a fuzzed (progType, instructions) pair.
+func equivProgram(progType uint8, insns []isa.Instruction) *isa.Program {
+	return &isa.Program{
+		Type:          isa.AllProgramTypes[int(progType)%len(isa.AllProgramTypes)],
+		GPLCompatible: progType%2 == 0,
+		Insns:         insns,
+	}
 }
 
 func encodeInsns(insns []isa.Instruction) []byte {
@@ -146,21 +176,13 @@ func FuzzVerifyCacheEquivalence(f *testing.F) {
 		isa.Exit(),
 	}))
 	// Map access: the cache hit must rebind FDs and re-run fixup.
-	f.Add(uint8(1), encodeInsns([]isa.Instruction{
-		isa.LoadMapFD(isa.R9, 100),
-		isa.StoreImm(isa.SizeW, isa.R10, -4, 0),
-		isa.Mov64Reg(isa.R2, isa.R10),
-		isa.Alu64Imm(isa.ALUAdd, isa.R2, -4),
-		isa.Mov64Reg(isa.R1, isa.R9),
-		isa.Mov64Imm(isa.R0, 0),
-		isa.Exit(),
-	}))
+	k, mapFD := newEquivKernel(f)
+	f.Add(uint8(1), encodeInsns(mapSeedProgram(mapFD)))
 	// Rejected: reading an uninitialized register.
 	f.Add(uint8(0), encodeInsns([]isa.Instruction{
 		isa.Exit(),
 	}))
 
-	k := newEquivKernel(f)
 	f.Fuzz(func(t *testing.T, progType uint8, data []byte) {
 		var insns []isa.Instruction
 		for len(data) > 0 && len(insns) < isa.MaxInsns {
@@ -174,11 +196,7 @@ func FuzzVerifyCacheEquivalence(f *testing.F) {
 		if len(insns) == 0 {
 			t.Skip("no decodable instructions")
 		}
-		prog := &isa.Program{
-			Type:          isa.AllProgramTypes[int(progType)%len(isa.AllProgramTypes)],
-			GPLCompatible: progType%2 == 0,
-			Insns:         insns,
-		}
+		prog := equivProgram(progType, insns)
 
 		scratch := runVerify(k, prog, nil)
 		var te *verifier.TimeoutError
@@ -222,4 +240,70 @@ func FuzzVerifyCacheEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMapSeedIsCacheHit pins that FuzzVerifyCacheEquivalence's map seed
+// reaches the rebinding path: the program must be accepted (a rejection
+// at the map load would never exercise the FD rebind), and its second
+// Verify against the same store must be a hit.
+func TestMapSeedIsCacheHit(t *testing.T) {
+	k, fd := newEquivKernel(t)
+	prog := equivProgram(1, mapSeedProgram(fd)) // as the fuzz target builds the seed
+	scratch := runVerify(k, prog, nil)
+	if scratch.err != nil {
+		t.Fatalf("map seed rejected: %v", scratch.err)
+	}
+	if len(scratch.res.UsedMaps) != 1 || scratch.res.UsedMaps[0].FD != fd {
+		t.Fatalf("map seed used maps %v, want the map with fd %d", scratch.res.UsedMaps, fd)
+	}
+	store := vcache.NewStore(0)
+	runVerify(k, prog, store)
+	warm := runVerify(k, prog, store)
+	if cnt := store.CounterSnapshot(); cnt.Hits != 1 || cnt.Misses != 1 {
+		t.Fatalf("map seed counters: %d hits / %d misses, want 1 / 1", cnt.Hits, cnt.Misses)
+	}
+	if d := diffVerdicts(scratch, warm); d != "" {
+		t.Errorf("warm cache diverges from scratch: %s", d)
+	}
+}
+
+// TestCacheHitWithoutMapResolver pins cache-on ≡ cache-off for an
+// accepted program whose only map load is unreachable, looked up under a
+// Config that has no map resolver. The verification never resolves the
+// FD (UsedMaps stays empty), so the hit path's fixup is the first to
+// meet it; it must demote the hit to a miss, and the scratch run must
+// reject it at fixup exactly as a cache-off run does.
+func TestCacheHitWithoutMapResolver(t *testing.T) {
+	k, fd := newEquivKernel(t)
+	prog := &isa.Program{
+		Type:          isa.ProgTypeSocketFilter,
+		GPLCompatible: true,
+		Insns: []isa.Instruction{
+			isa.Mov64Imm(isa.R0, 0),
+			isa.Exit(),
+			isa.LoadMapFD(isa.R1, fd),
+			isa.Exit(),
+		},
+	}
+	store := vcache.NewStore(0)
+	if v := runVerify(k, prog, store); v.err != nil {
+		t.Fatalf("program rejected with a map resolver: %v", v.err)
+	}
+	verifyNoMaps := func(cache verifier.Cache) verdict {
+		cfg := k.VerifierConfig()
+		cfg.MapByFD = nil
+		cfg.Cov = coverage.NewMap()
+		cfg.Cache = cache
+		res, err := verifier.Verify(prog, cfg)
+		return verdict{res: res, err: err, cov: cfg.Cov}
+	}
+	off := verifyNoMaps(nil)
+	var ve *verifier.Error
+	if !errors.As(off.err, &ve) || ve.Insn != 2 || ve.Message() != fmt.Sprintf("fixup: stale map fd %d", fd) {
+		t.Fatalf("cache-off run without a map resolver: %v, want a fixup rejection at insn 2", off.err)
+	}
+	on := verifyNoMaps(store)
+	if d := diffVerdicts(off, on); d != "" {
+		t.Errorf("cache-on diverges from cache-off: %s", d)
+	}
 }

@@ -1,6 +1,10 @@
 package verifier
 
-import "repro/internal/isa"
+import (
+	"encoding/binary"
+
+	"repro/internal/isa"
+)
 
 // Structural state fingerprints gate the pruning deep compare, mirroring
 // the kernel's hashed explored_states lists. pruneOrRecord only runs
@@ -19,6 +23,9 @@ import "repro/internal/isa"
 // tnums, packet ranges, MaybeNull, and every stack slot (SlotMisc
 // subsumes Zero/Spill) — are deliberately left out.
 
+// le is the canonical byte order.
+var le = binary.LittleEndian
+
 const (
 	fpOffset64 = 14695981039346656037
 	fpPrime64  = 1099511628211
@@ -35,30 +42,48 @@ func fpMix(h, v uint64) uint64 {
 // Result: the program attributes (type, name, attach target, license)
 // and, per instruction, opcode/dst/src/off/imm/imm64 plus the Meta
 // provenance flags. Two programs with equal canonical bytes are
-// verified identically by construction; the 64-bit FNV-1a fingerprint
-// over those bytes is only the cache index — lookups compare the stored
-// canonical bytes exactly, so a fingerprint collision degrades to a
-// cache miss, never to a wrong verdict.
+// verified identically by construction; the 64-bit fingerprint is only
+// the cache index — lookups compare the stored canonical bytes exactly,
+// so a fingerprint collision degrades to a cache miss, never to a wrong
+// verdict.
+//
+// Each encoded shape has exactly one field walker (walkProgram,
+// walkTrace), which emits its fields in order to a sink. The sinks give
+// the three views of one encoding: hashSink folds the fields into the
+// fingerprint, appendSink materializes the canonical bytes, and
+// matchSink compares stored canonical bytes against a live program.
+// Sinks are small values whose methods return the updated sink, so the
+// generic walkers run without allocating.
 
-// CanonicalProgramBytes serializes p's verification-relevant identity.
-func CanonicalProgramBytes(p *isa.Program) []byte {
-	// attrs: type, gpl, name, attach target (length-prefixed strings so
-	// "ab"+"c" and "a"+"bc" cannot collide).
-	out := make([]byte, 0, 24+len(p.Name)+len(p.AttachTo)+18*len(p.Insns))
-	out = append(out, byte(p.Type))
-	if p.GPLCompatible {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = appendString(out, p.Name)
-	out = appendString(out, p.AttachTo)
-	return appendInsnBytes(out, p.Insns)
+// encSink receives the fields of a canonical encoding, in order.
+type encSink[S any] interface {
+	// header folds the program type and license.
+	header(t isa.ProgramType, gpl bool) S
+	// str folds a length-prefixed string (the prefix keeps "ab"+"c" and
+	// "a"+"bc" apart).
+	str(s string) S
+	// u32 folds a count or a pc.
+	u32(v uint32) S
+	// insn folds one instruction: opcode/dst/src, off, imm, imm64, meta.
+	insn(ins *isa.Instruction) S
 }
 
-// canonicalTraceBytes serializes the verification-relevant identity of a
-// forced execution trace: program attributes that shape the entry state
-// and helper availability (type, attach target, license — the name never
+// walkProgram emits p's verification-relevant identity: attributes,
+// instruction count, instructions.
+func walkProgram[S encSink[S]](p *isa.Program, s S) S {
+	s = s.header(p.Type, p.GPLCompatible)
+	s = s.str(p.Name)
+	s = s.str(p.AttachTo)
+	s = s.u32(uint32(len(p.Insns)))
+	for i := range p.Insns {
+		s = s.insn(&p.Insns[i])
+	}
+	return s
+}
+
+// walkTrace emits the verification-relevant identity of a forced
+// execution trace: program attributes that shape the entry state and
+// helper availability (type, attach target, license — the name never
 // influences verification), then each executed instruction with its pc,
 // then the boundary pc. The pcs matter, not just the instruction bytes:
 // jump targets go through slot arithmetic over the *unexecuted* insns
@@ -68,43 +93,134 @@ func CanonicalProgramBytes(p *isa.Program) []byte {
 // the same reason: when the last executed instruction is a jump, call,
 // or subframe exit, where the resumed exploration continues depends on
 // slot layout the executed bytes alone do not pin.
-func canonicalTraceBytes(p *isa.Program, pcs []int32, end int) []byte {
-	out := make([]byte, 0, 16+len(p.AttachTo)+22*len(pcs))
-	out = append(out, byte(p.Type))
-	if p.GPLCompatible {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = appendString(out, p.AttachTo)
-	out = appendU32(out, uint32(len(pcs)))
+func walkTrace[S encSink[S]](p *isa.Program, pcs []int32, end int, s S) S {
+	s = s.header(p.Type, p.GPLCompatible)
+	s = s.str(p.AttachTo)
+	s = s.u32(uint32(len(pcs)))
 	for _, pc := range pcs {
-		out = appendU32(out, uint32(pc))
-		out = appendOneInsn(out, &p.Insns[pc])
+		s = s.u32(uint32(pc))
+		s = s.insn(&p.Insns[pc])
 	}
-	return appendU32(out, uint32(end))
+	return s.u32(uint32(end))
 }
 
-func appendString(out []byte, s string) []byte {
-	out = appendU32(out, uint32(len(s)))
-	return append(out, s...)
+// hashSink folds fields word-at-a-time into an xor-multiply hash (three
+// steps per instruction instead of eighteen byte folds). It is an
+// independent hash, not FNV-1a over the canonical bytes; the only
+// consistency requirement is that Lookup and Insert key with the same
+// function.
+type hashSink uint64
+
+func (h hashSink) header(t isa.ProgramType, gpl bool) hashSink {
+	return hashSink(fpMix(uint64(h), uint64(t)<<1|uint64(boolByte(gpl))))
 }
 
-func appendU32(out []byte, v uint32) []byte {
-	return append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+func (h hashSink) str(s string) hashSink { return hashSink(fpStr(uint64(h), s)) }
+
+func (h hashSink) u32(v uint32) hashSink { return hashSink(fpMix(uint64(h), uint64(v))) }
+
+func (h hashSink) insn(ins *isa.Instruction) hashSink {
+	x := fpMix(uint64(h), uint64(ins.Opcode)|uint64(ins.Dst)<<8|uint64(ins.Src)<<16|
+		uint64(uint16(ins.Off))<<24|uint64(insnMetaByte(ins))<<40)
+	x = fpMix(x, uint64(uint32(ins.Imm)))
+	return hashSink(fpMix(x, ins.Imm64))
 }
 
-func appendU64(out []byte, v uint64) []byte {
-	out = appendU32(out, uint32(v))
-	return appendU32(out, uint32(v>>32))
+// appendSink builds the canonical bytes: one byte each for type and
+// license, little-endian integers, and 18 bytes per instruction —
+// opcode/dst/src, off, imm, imm64, then the meta byte.
+type appendSink []byte
+
+func (b appendSink) header(t isa.ProgramType, gpl bool) appendSink {
+	return append(b, byte(t), boolByte(gpl))
 }
 
-func appendInsnBytes(out []byte, insns []isa.Instruction) []byte {
-	out = appendU32(out, uint32(len(insns)))
-	for i := range insns {
-		out = appendOneInsn(out, &insns[i])
+func (b appendSink) str(s string) appendSink { return append(b.u32(uint32(len(s))), s...) }
+
+func (b appendSink) u32(v uint32) appendSink { return le.AppendUint32(b, v) }
+
+func (b appendSink) insn(ins *isa.Instruction) appendSink {
+	b = append(b, ins.Opcode, ins.Dst, ins.Src)
+	b = le.AppendUint16(b, uint16(ins.Off))
+	b = le.AppendUint32(b, uint32(ins.Imm))
+	b = le.AppendUint64(b, ins.Imm64)
+	return append(b, insnMetaByte(ins))
+}
+
+// matchSink consumes stored canonical bytes field by field, decoding
+// appendSink's layout in place so a match allocates nothing. ok turns
+// false at the first difference; TestMatchCanonical pins the two sinks
+// together.
+type matchSink struct {
+	rest []byte
+	ok   bool
+}
+
+// take consumes and returns the next n bytes, or reports a mismatch when
+// fewer remain.
+func (m *matchSink) take(n int) ([]byte, bool) {
+	if !m.ok || len(m.rest) < n {
+		m.ok = false
+		return nil, false
 	}
-	return out
+	b := m.rest[:n]
+	m.rest = m.rest[n:]
+	return b, true
+}
+
+func (m matchSink) header(t isa.ProgramType, gpl bool) matchSink {
+	b, ok := m.take(2)
+	m.ok = ok && b[0] == byte(t) && b[1] == boolByte(gpl)
+	return m
+}
+
+func (m matchSink) str(s string) matchSink {
+	m = m.u32(uint32(len(s)))
+	b, ok := m.take(len(s))
+	m.ok = ok && string(b) == s
+	return m
+}
+
+func (m matchSink) u32(v uint32) matchSink {
+	b, ok := m.take(4)
+	m.ok = ok && le.Uint32(b) == v
+	return m
+}
+
+func (m matchSink) insn(ins *isa.Instruction) matchSink {
+	b, ok := m.take(18)
+	m.ok = ok && b[0] == ins.Opcode && b[1] == ins.Dst && b[2] == ins.Src &&
+		le.Uint16(b[3:]) == uint16(ins.Off) && le.Uint32(b[5:]) == uint32(ins.Imm) &&
+		le.Uint64(b[9:]) == ins.Imm64 && b[17] == insnMetaByte(ins)
+	return m
+}
+
+// ProgramFingerprint returns the 64-bit verdict-cache key for p. It is
+// computed on every Verify call, hit or miss, so it hashes the walk
+// directly instead of materializing the canonical bytes.
+func ProgramFingerprint(p *isa.Program) uint64 {
+	return uint64(walkProgram(p, hashSink(fpOffset64)))
+}
+
+// CanonicalProgramBytes serializes p's verification-relevant identity.
+func CanonicalProgramBytes(p *isa.Program) []byte {
+	return walkProgram(p, make(appendSink, 0, 14+len(p.Name)+len(p.AttachTo)+18*len(p.Insns)))
+}
+
+// MatchCanonical reports whether canon is exactly CanonicalProgramBytes(p),
+// without materializing p's byte form — the verdict-cache hit path
+// compares a stored entry against a live program without allocating.
+func MatchCanonical(canon []byte, p *isa.Program) bool {
+	m := walkProgram(p, matchSink{rest: canon, ok: true})
+	return m.ok && len(m.rest) == 0
+}
+
+// boolByte encodes a flag as one canonical byte.
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // insnMetaByte packs the Meta provenance flags into one canonical byte.
@@ -122,82 +238,6 @@ func insnMetaByte(ins *isa.Instruction) byte {
 	return meta
 }
 
-// appendOneInsn appends one instruction's canonical bytes:
-// opcode/dst/src, little-endian off, imm, imm64, then the meta byte.
-func appendOneInsn(out []byte, ins *isa.Instruction) []byte {
-	out = append(out, ins.Opcode, ins.Dst, ins.Src)
-	out = append(out, byte(ins.Off), byte(uint16(ins.Off)>>8))
-	out = appendU32(out, uint32(ins.Imm))
-	out = appendU64(out, ins.Imm64)
-	return append(out, insnMetaByte(ins))
-}
-
-// fpInsn folds one instruction's canonical bytes into a running FNV-1a
-// hash, mirroring appendOneInsn byte for byte.
-func fpInsn(h uint64, ins *isa.Instruction) uint64 {
-	h = fpByte(h, ins.Opcode)
-	h = fpByte(h, ins.Dst)
-	h = fpByte(h, ins.Src)
-	h = fpByte(h, byte(ins.Off))
-	h = fpByte(h, byte(uint16(ins.Off)>>8))
-	h = fpU32(h, uint32(ins.Imm))
-	h = fpU32(h, uint32(ins.Imm64))
-	h = fpU32(h, uint32(ins.Imm64>>32))
-	return fpByte(h, insnMetaByte(ins))
-}
-
-// traceFingerprint computes fpBytes(canonicalTraceBytes(p, pcs, end))
-// without materializing the canonical bytes — the first sighting of a
-// trace hashes it allocation-free, and only recurring traces (which the
-// cache will actually store or look up) build the byte form. The two
-// functions must fold the identical byte sequence;
-// TestTraceFingerprintStreaming pins that.
-func traceFingerprint(p *isa.Program, pcs []int32, end int) uint64 {
-	h := uint64(fpOffset64)
-	h = fpByte(h, byte(p.Type))
-	if p.GPLCompatible {
-		h = fpByte(h, 1)
-	} else {
-		h = fpByte(h, 0)
-	}
-	h = fpU32(h, uint32(len(p.AttachTo)))
-	for i := 0; i < len(p.AttachTo); i++ {
-		h = fpByte(h, p.AttachTo[i])
-	}
-	h = fpU32(h, uint32(len(pcs)))
-	for _, pc := range pcs {
-		h = fpU32(h, uint32(pc))
-		h = fpInsn(h, &p.Insns[pc])
-	}
-	return fpU32(h, uint32(end))
-}
-
-// fpByte folds one byte into an FNV-1a running hash.
-func fpByte(h uint64, b byte) uint64 {
-	h ^= uint64(b)
-	h *= fpPrime64
-	return h
-}
-
-// fpU32 folds a little-endian u32 into an FNV-1a running hash, matching
-// appendU32's byte order.
-func fpU32(h uint64, v uint32) uint64 {
-	h = fpByte(h, byte(v))
-	h = fpByte(h, byte(v>>8))
-	h = fpByte(h, byte(v>>16))
-	return fpByte(h, byte(v>>24))
-}
-
-// fpBytes is FNV-1a over an arbitrary byte string.
-func fpBytes(b []byte) uint64 {
-	h := uint64(fpOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fpPrime64
-	}
-	return h
-}
-
 // fpStr folds a length-prefixed string word-wise into an xor-multiply
 // running hash (the length prefix keeps "ab"+"c" and "a"+"bc" apart).
 func fpStr(h uint64, s string) uint64 {
@@ -212,83 +252,6 @@ func fpStr(h uint64, s string) uint64 {
 		tail |= uint64(s[i]) << (8 * i)
 	}
 	return fpMix(h, tail)
-}
-
-// ProgramFingerprint returns the 64-bit verdict-cache key for p. It folds
-// exactly the fields CanonicalProgramBytes serializes, but word-at-a-time
-// (three xor-multiply steps per instruction instead of eighteen byte
-// folds) and without materializing the canonical bytes — the fingerprint
-// is computed on every Verify call, hit or miss, so it must be cheap and
-// allocation-free. It is an independent hash, not fpBytes over the
-// canonical form; the only consistency requirement is that Lookup and
-// Insert key with the same function, and a collision degrades to a miss
-// because entries are compared against the program exactly
-// (MatchCanonical).
-func ProgramFingerprint(p *isa.Program) uint64 {
-	h := uint64(fpOffset64)
-	var gpl uint64
-	if p.GPLCompatible {
-		gpl = 1
-	}
-	h = fpMix(h, uint64(p.Type)<<1|gpl)
-	h = fpStr(h, p.Name)
-	h = fpStr(h, p.AttachTo)
-	h = fpMix(h, uint64(len(p.Insns)))
-	for i := range p.Insns {
-		ins := &p.Insns[i]
-		h = fpMix(h, uint64(ins.Opcode)|uint64(ins.Dst)<<8|uint64(ins.Src)<<16|
-			uint64(uint16(ins.Off))<<24|uint64(insnMetaByte(ins))<<40)
-		h = fpMix(h, uint64(uint32(ins.Imm)))
-		h = fpMix(h, ins.Imm64)
-	}
-	return h
-}
-
-// MatchCanonical reports whether canon is exactly CanonicalProgramBytes(p),
-// decoding field-by-field instead of materializing p's byte form — the
-// verdict-cache hit path compares a stored entry against a live program
-// without allocating. Must mirror CanonicalProgramBytes/appendOneInsn
-// byte for byte; TestMatchCanonical pins that.
-func MatchCanonical(canon []byte, p *isa.Program) bool {
-	want := 2 + 4 + len(p.Name) + 4 + len(p.AttachTo) + 4 + 18*len(p.Insns)
-	if len(canon) != want {
-		return false
-	}
-	var gpl byte
-	if p.GPLCompatible {
-		gpl = 1
-	}
-	if canon[0] != byte(p.Type) || canon[1] != gpl {
-		return false
-	}
-	b := canon[2:]
-	for _, s := range []string{p.Name, p.AttachTo} {
-		if u32At(b) != uint32(len(s)) || string(b[4:4+len(s)]) != s {
-			return false
-		}
-		b = b[4+len(s):]
-	}
-	if u32At(b) != uint32(len(p.Insns)) {
-		return false
-	}
-	b = b[4:]
-	for i := range p.Insns {
-		ins := &p.Insns[i]
-		if b[0] != ins.Opcode || b[1] != ins.Dst || b[2] != ins.Src ||
-			b[3] != byte(ins.Off) || b[4] != byte(uint16(ins.Off)>>8) ||
-			u32At(b[5:]) != uint32(ins.Imm) ||
-			uint64(u32At(b[9:]))|uint64(u32At(b[13:]))<<32 != ins.Imm64 ||
-			b[17] != insnMetaByte(ins) {
-			return false
-		}
-		b = b[18:]
-	}
-	return true
-}
-
-// u32At decodes appendU32's little-endian byte order.
-func u32At(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // regFPContrib folds one register's rigid identity, keyed by its

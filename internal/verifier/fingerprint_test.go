@@ -156,29 +156,56 @@ func TestCanonicalProgramBytesStringBoundaries(t *testing.T) {
 	}
 }
 
-// TestTraceFingerprintStreaming pins that the allocation-free streaming
-// trace hash folds exactly the bytes canonicalTraceBytes materializes —
-// the two must never drift, or the recurrence filter and the snapshot
-// store would disagree about trace identity. The pc sequences are
-// arbitrary (the hash does not care that they came from a real control-
-// flow walk), including repeated and out-of-order pcs.
+func traceFP(p *isa.Program, pcs []int32, end int) uint64 {
+	return uint64(walkTrace(p, pcs, end, hashSink(fpOffset64)))
+}
+
+func traceCanon(p *isa.Program, pcs []int32, end int) []byte {
+	return walkTrace(p, pcs, end, appendSink(nil))
+}
+
+// TestTraceFingerprintStreaming pins that the trace fingerprint is a
+// function of the trace canon: programs whose traces encode to equal
+// bytes — here they differ only in the name and in instructions the
+// trace never executes, neither of which the trace identity includes —
+// must share the fingerprint, or the recurrence filter and the snapshot
+// store would disagree about trace identity. Changing an executed
+// instruction must move both. The pc sequences are arbitrary (the
+// encoding does not care that they came from a real control-flow walk),
+// including repeated and out-of-order pcs.
 func TestTraceFingerprintStreaming(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 99, 12345} {
-		p := fpTestProgram(seed, 1+int(seed%14))
+		p := fpTestProgram(seed, 2+int(seed%14))
 		x := seed*2654435761 | 1
 		next := func() uint64 {
 			x = x*6364136223846793005 + 1442695040888963407
 			return x
 		}
 		for trial := 0; trial < 8; trial++ {
+			// The last instruction is never executed.
 			pcs := make([]int32, next()%uint64(len(p.Insns)+1))
 			for i := range pcs {
-				pcs[i] = int32(next() % uint64(len(p.Insns)))
+				pcs[i] = int32(next() % uint64(len(p.Insns)-1))
 			}
 			end := int(next() % uint64(len(p.Insns)+1))
-			want := fpBytes(canonicalTraceBytes(p, pcs, end))
-			if got := traceFingerprint(p, pcs, end); got != want {
-				t.Fatalf("seed %d trial %d: streaming fp %#x != canonical fp %#x", seed, trial, got, want)
+			q := cloneProgram(p)
+			q.Name = "renamed"
+			q.Insns[len(q.Insns)-1].Imm ^= 0x5a5a
+			if !bytes.Equal(traceCanon(p, pcs, end), traceCanon(q, pcs, end)) {
+				t.Fatalf("seed %d trial %d: unexecuted changes moved the trace canon", seed, trial)
+			}
+			if traceFP(p, pcs, end) != traceFP(q, pcs, end) {
+				t.Fatalf("seed %d trial %d: equal trace canon, different fingerprints", seed, trial)
+			}
+			if len(pcs) == 0 {
+				continue
+			}
+			q.Insns[pcs[0]].Off ^= 1
+			if bytes.Equal(traceCanon(p, pcs, end), traceCanon(q, pcs, end)) {
+				t.Fatalf("seed %d trial %d: executed change left the trace canon", seed, trial)
+			}
+			if traceFP(p, pcs, end) == traceFP(q, pcs, end) {
+				t.Fatalf("seed %d trial %d: executed change left the trace fingerprint", seed, trial)
 			}
 		}
 	}
@@ -193,15 +220,75 @@ func TestCanonicalTraceBytesPCSensitivity(t *testing.T) {
 	p := fpTestProgram(3, 8)
 	// Make two positions hold identical instructions.
 	p.Insns[5] = p.Insns[2]
-	a := canonicalTraceBytes(p, []int32{0, 1, 2}, 3)
-	b := canonicalTraceBytes(p, []int32{0, 1, 5}, 3)
+	a := traceCanon(p, []int32{0, 1, 2}, 3)
+	b := traceCanon(p, []int32{0, 1, 5}, 3)
 	if bytes.Equal(a, b) {
 		t.Fatal("trace canon ignores executed pcs")
 	}
-	c := canonicalTraceBytes(p, []int32{0, 1, 2}, 6)
+	c := traceCanon(p, []int32{0, 1, 2}, 6)
 	if bytes.Equal(a, c) {
 		t.Fatal("trace canon ignores the boundary pc")
 	}
+}
+
+// TestCacheKeyingZeroAlloc guards the claim that keying the verdict cache
+// never allocates: the program fingerprint (every cacheable Verify), the
+// canonical compare against a stored entry (every fingerprint hit), and
+// the trace fingerprint (every trace-prefix sighting).
+func TestCacheKeyingZeroAlloc(t *testing.T) {
+	p := fpTestProgram(11, 60)
+	stored := CanonicalProgramBytes(cloneProgram(p))
+	pcs := make([]int32, 40)
+	for i := range pcs {
+		pcs[i] = int32(i)
+	}
+	for name, fn := range map[string]func(){
+		"ProgramFingerprint": func() { keyingSink += ProgramFingerprint(p) },
+		"MatchCanonical": func() {
+			if !MatchCanonical(stored, p) {
+				t.Fatal("program does not match its stored canonical bytes")
+			}
+		},
+		"trace fingerprint": func() { keyingSink += traceFP(p, pcs, 40) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+}
+
+// keyingSink keeps the benchmarked fingerprints live.
+var keyingSink uint64
+
+// BenchmarkCacheKeying measures the three allocation-free keying walks on
+// a 60-instruction program.
+func BenchmarkCacheKeying(b *testing.B) {
+	p := fpTestProgram(11, 60)
+	stored := CanonicalProgramBytes(cloneProgram(p))
+	pcs := make([]int32, 40)
+	for i := range pcs {
+		pcs[i] = int32(i)
+	}
+	b.Run("ProgramFingerprint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keyingSink += ProgramFingerprint(p)
+		}
+	})
+	b.Run("MatchCanonical", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !MatchCanonical(stored, p) {
+				b.Fatal("mismatch")
+			}
+		}
+	})
+	b.Run("TraceFingerprint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keyingSink += traceFP(p, pcs, 40)
+		}
+	})
 }
 
 // TestStateFingerprintIncrementalAudit re-runs the entire selftest corpus

@@ -517,16 +517,17 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Res
 		}
 	}
 
-	fixed, err := e.fixup()
-	if err != nil {
-		return nil, err
+	probeMem := e.probeMemMap()
+	fixed, bad, msg := fixupProgram(prog, cfg, probeMem)
+	if fixed == nil {
+		return nil, e.reject(bad, EINVAL, "%s", msg)
 	}
 	res := &Result{
 		Prog:          fixed,
 		InsnProcessed: e.insnProcessed,
 		PeakStates:    e.peakStates,
 		TotalStates:   e.totalStates,
-		ProbeMem:      e.probeMemMap(),
+		ProbeMem:      probeMem,
 		UsedMaps:      e.usedMaps,
 		R0Bounds:      e.r0Bounds,
 		States:        e.states,
@@ -565,73 +566,73 @@ func (e *env) probeMemMap() map[int]bool {
 // of slice allocations.
 func (e *env) runPath(st *State) (*State, *State, error) {
 	for {
-		i := st.Insn
-		if i < 0 || i >= len(e.prog.Insns) {
-			return nil, nil, e.reject(i, EINVAL, "jump out of range or fall-through past last insn")
+		done, sibling, err := e.step(st)
+		if err != nil {
+			return nil, nil, err
 		}
-		e.insnProcessed++
-		if e.insnProcessed > e.cfg.MaxInsnProcessed {
-			return nil, nil, e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
+		if done {
+			// The path ended (main-frame exit or prune hit): recycle its
+			// state. done paths never return a sibling aliasing st.
+			e.releaseState(st)
+			return nil, nil, nil
 		}
-		if e.insnProcessed&255 == 0 {
-			if err := e.watchdog(); err != nil {
-				return nil, nil, err
-			}
-		}
-		ins := e.prog.Insns[i]
-		if e.states != nil {
-			// Claims are joined before the instruction is checked, matching
-			// the runtime hook that fires before it executes.
-			e.states.record(i, st.Cur())
-		}
-		if e.cfg.LogLevel > 0 {
-			e.logf("%d: %s\n", i, ins.String())
-			if e.cfg.LogLevel > 1 {
-				e.logf(";  %s\n", stateLine(st))
-			}
-		}
-
-		switch ins.Class() {
-		case isa.ClassALU, isa.ClassALU64:
-			if err := e.checkALU(st, i, ins); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLD:
-			if err := e.checkLDImm(st, i, ins); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassLDX:
-			if err := e.checkMemAccess(st, i, ins, false); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassST, isa.ClassSTX:
-			if err := e.checkMemAccess(st, i, ins, true); err != nil {
-				return nil, nil, err
-			}
-			st.Insn = i + 1
-
-		case isa.ClassJMP, isa.ClassJMP32:
-			done, sibling, err := e.checkJmp(st, i, ins)
-			if err != nil {
-				return nil, nil, err
-			}
-			if done {
-				// The path ended (main-frame exit or prune hit): recycle
-				// its state. done paths never return a sibling aliasing st.
-				e.releaseState(st)
-				return nil, nil, nil
-			}
-			if sibling != nil {
-				return sibling, st, nil
-			}
+		if sibling != nil {
+			return sibling, st, nil
 		}
 	}
+}
+
+// step simulates the instruction at st.Insn: the instruction budget, the
+// watchdog cadence, the oracle claim record, logging, and the per-class
+// check, which advances st. done reports that the path ended (main-frame
+// exit or prune hit); sibling is the taken-branch state of a fork. It is
+// the only instruction stepper: worklist exploration (runPath) and the
+// trace-prefix simulation (runTrace) both loop over it, so the two
+// account identically.
+func (e *env) step(st *State) (done bool, sibling *State, err error) {
+	i := st.Insn
+	if i < 0 || i >= len(e.prog.Insns) {
+		return false, nil, e.reject(i, EINVAL, "jump out of range or fall-through past last insn")
+	}
+	e.insnProcessed++
+	if e.insnProcessed > e.cfg.MaxInsnProcessed {
+		return false, nil, e.reject(i, E2BIG, "BPF program is too large: processed %d insn", e.insnProcessed)
+	}
+	if e.insnProcessed&255 == 0 {
+		if err = e.watchdog(); err != nil {
+			return false, nil, err
+		}
+	}
+	ins := e.prog.Insns[i]
+	if e.states != nil {
+		// Claims are joined before the instruction is checked, matching
+		// the runtime hook that fires before it executes.
+		e.states.record(i, st.Cur())
+	}
+	if e.cfg.LogLevel > 0 {
+		e.logf("%d: %s\n", i, ins.String())
+		if e.cfg.LogLevel > 1 {
+			e.logf(";  %s\n", stateLine(st))
+		}
+	}
+
+	switch ins.Class() {
+	case isa.ClassALU, isa.ClassALU64:
+		err = e.checkALU(st, i, ins)
+	case isa.ClassLD:
+		err = e.checkLDImm(st, i, ins)
+	case isa.ClassLDX:
+		err = e.checkMemAccess(st, i, ins, false)
+	case isa.ClassST, isa.ClassSTX:
+		err = e.checkMemAccess(st, i, ins, true)
+	case isa.ClassJMP, isa.ClassJMP32:
+		return e.checkJmp(st, i, ins)
+	}
+	if err != nil {
+		return false, nil, err
+	}
+	st.Insn = i + 1
+	return false, nil, nil
 }
 
 // snapshot is one recorded exploration state used for pruning and cycle
@@ -752,7 +753,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		*dst = constScalar(ins.Imm64)
 	case isa.PseudoMapFD:
 		e.cov("ld_imm64:map_fd")
-		m := e.mapByFD(int32(ins.Imm64))
+		m := e.cfg.mapByFD(int32(ins.Imm64))
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(ins.Imm64))
 		}
@@ -761,7 +762,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		e.noteMap(m)
 	case isa.PseudoMapValue:
 		e.cov("ld_imm64:map_value")
-		m := e.mapByFD(int32(uint32(ins.Imm64)))
+		m := e.cfg.mapByFD(int32(uint32(ins.Imm64)))
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(uint32(ins.Imm64)))
 		}
@@ -791,11 +792,13 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 	return nil
 }
 
-func (e *env) mapByFD(fd int32) *maps.Map {
-	if e.cfg.MapByFD == nil {
+// mapByFD resolves a map FD, nil when it does not resolve or the Config
+// has no resolver.
+func (c *Config) mapByFD(fd int32) *maps.Map {
+	if c.MapByFD == nil {
 		return nil
 	}
-	return e.cfg.MapByFD(fd)
+	return c.MapByFD(fd)
 }
 
 func (e *env) noteMap(m *maps.Map) {
