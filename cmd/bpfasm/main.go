@@ -31,10 +31,15 @@ func main() {
 		hexIn    = flag.Bool("hex", false, "input is hex text rather than raw bytes")
 		asmIn    = flag.Bool("asm", false, "input is assembly text")
 		emit     = flag.Bool("emit", false, "print the encoded program as hex")
-		version  = flag.String("version", "bpf-next", "kernel version for -verify")
+		version  = flag.String("version", "bpf-next", "kernel version for -verify: v5.15, v6.1 or bpf-next")
 		progType = flag.String("type", "socket_filter", "program type: socket_filter, kprobe, xdp, ...")
 	)
 	flag.Parse()
+	v, err := kernel.ParseVersion(*version)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bpfasm: %v\n", err)
+		os.Exit(2)
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -81,15 +86,6 @@ func main() {
 
 	if !*verify {
 		return
-	}
-	var v kernel.Version
-	switch *version {
-	case "v5.15":
-		v = kernel.V515
-	case "v6.1":
-		v = kernel.V61
-	default:
-		v = kernel.BPFNext
 	}
 	k := kernel.New(kernel.Config{Version: v})
 	prog.GPLCompatible = true

@@ -130,7 +130,7 @@ func run() int {
 		spec := orchestrator.CampaignSpec{
 			Tool: *tool, Version: *versionFlag, Sanitize: !*noSan,
 			Oracle: *oracleFlag, Seed: *seed, TotalIters: *iters,
-			Units: *workers, SyncEvery: 1024,
+			Units: *workers, SyncEvery: core.DefaultSyncEvery,
 		}
 		return runCampaignOp(campaignOp{
 			coordinator: *coordinator, token: *token, spec: spec,
@@ -146,16 +146,9 @@ func run() int {
 		return 1
 	}
 
-	var version kernel.Version
-	switch *versionFlag {
-	case "v5.15":
-		version = kernel.V515
-	case "v6.1":
-		version = kernel.V61
-	case "bpf-next":
-		version = kernel.BPFNext
-	default:
-		fmt.Fprintf(os.Stderr, "bvf: unknown version %q\n", *versionFlag)
+	version, err := kernel.ParseVersion(*versionFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bvf: %v\n", err)
 		return 2
 	}
 
@@ -168,7 +161,6 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "bvf: -resume requires -checkpoint")
 			return 2
 		}
-		var err error
 		snap, err = core.LoadSnapshot(*ckptPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bvf: resume: %v\n", err)
@@ -178,22 +170,12 @@ func run() int {
 		*workers = snap.Workers
 	}
 
-	var src core.ProgramSource
-	sanitize := !*noSan
-	mutate := 0
-	switch *tool {
-	case "bvf":
-		src = core.BVFSource(version.HasKfuncs())
-	case "syzkaller":
-		src, sanitize = baseline.Syz{}, false
-	case "buzzer":
-		src, sanitize = baseline.Buzz{Mode: baseline.BuzzALUJmp}, false
-	case "buzzer-random":
-		src, sanitize, mutate = baseline.Buzz{Mode: baseline.BuzzRandom}, false, -1
-	default:
-		fmt.Fprintf(os.Stderr, "bvf: unknown tool %q\n", *tool)
+	src, sanitizeOK, mutate, err := baseline.SourceForTool(*tool, version)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bvf: %v\n", err)
 		return 2
 	}
+	sanitize := !*noSan && sanitizeOK
 
 	runIters := *iters
 	if snap != nil {

@@ -78,7 +78,7 @@ func run() int {
 		tool      = flag.String("tool", "bvf", "generator: bvf, syzkaller, buzzer, buzzer-random")
 		noSan     = flag.Bool("nosanitize", false, "disable the BVF sanitation patches")
 		oracle    = flag.Bool("oracle", false, "arm the abstract-state soundness oracle on every worker")
-		syncEvery = flag.Int("sync-every", 1024, "worker round length in iterations (bounds abandon latency)")
+		syncEvery = flag.Int("sync-every", core.DefaultSyncEvery, "worker round length in iterations (bounds abandon latency)")
 
 		doTriage = flag.Bool("triage", false, "run the validation gauntlet over each campaign's findings before exiting (one-shot mode)")
 		verbose  = flag.Bool("v", false, "log every lease, heartbeat rejection, lifecycle transition, and unit completion")

@@ -30,23 +30,18 @@ import (
 
 func main() {
 	var (
-		version  = flag.String("version", "bpf-next", "kernel version")
+		version  = flag.String("version", "bpf-next", "kernel version: v5.15, v6.1 or bpf-next")
 		sanitize = flag.Bool("sanitize", false, "apply the BVF sanitizer and report footprint")
 	)
 	flag.Parse()
+	v, err := kernel.ParseVersion(*version)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "veristat: %v\n", err)
+		os.Exit(2)
+	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "veristat: no input files")
 		os.Exit(2)
-	}
-
-	var v kernel.Version
-	switch *version {
-	case "v5.15":
-		v = kernel.V515
-	case "v6.1":
-		v = kernel.V61
-	default:
-		v = kernel.BPFNext
 	}
 
 	k := kernel.New(kernel.Config{Version: v, Sanitize: *sanitize})

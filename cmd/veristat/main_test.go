@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,5 +75,26 @@ func TestBuildProgramDirectives(t *testing.T) {
 	}
 	if prog.GPLCompatible {
 		t.Error("nongpl ignored")
+	}
+}
+
+// TestUnknownVersionIsUsageError runs the command itself (re-executing the
+// test binary as veristat): a misspelled -version must exit 2 with an
+// error instead of silently verifying against bpf-next.
+func TestUnknownVersionIsUsageError(t *testing.T) {
+	if os.Getenv("VERISTAT_RUN_MAIN") == "1" {
+		os.Args = []string{"veristat", "-version", "v6.2", "../../examples/progs/counter.s"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownVersionIsUsageError$")
+	cmd.Env = append(os.Environ(), "VERISTAT_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("veristat -version v6.2: err = %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown kernel version "v6.2"`) {
+		t.Errorf("missing version error in output:\n%s", out)
 	}
 }

@@ -15,12 +15,33 @@
 package baseline
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/helpers"
 	"repro/internal/isa"
+	"repro/internal/kernel"
 )
+
+// SourceForTool maps a tool name, the vocabulary of bvf's -tool flag and
+// of a distributed campaign spec, onto its program source for kernel ver.
+// sanitizeOK reports whether the tool works with the BVF sanitation
+// patches (baselines run without them), and mutateBias is the tool's
+// corpus-mutation bias (-1 disables mutation for random-bytes fuzzers).
+func SourceForTool(tool string, ver kernel.Version) (src core.ProgramSource, sanitizeOK bool, mutateBias int, err error) {
+	switch tool {
+	case "bvf":
+		return core.BVFSource(ver.HasKfuncs()), true, 0, nil
+	case "syzkaller":
+		return Syz{}, false, 0, nil
+	case "buzzer":
+		return Buzz{Mode: BuzzALUJmp}, false, 0, nil
+	case "buzzer-random":
+		return Buzz{Mode: BuzzRandom}, false, -1, nil
+	}
+	return nil, false, 0, fmt.Errorf("unknown tool %q (want bvf, syzkaller, buzzer or buzzer-random)", tool)
+}
 
 // Syz is the Syzkaller-like source.
 type Syz struct{}

@@ -62,9 +62,6 @@ type CampaignConfig struct {
 	// non-nil (e.g. bugs.None() for a fully fixed kernel).
 	OverrideBugs bugs.Set
 	Seed         int64
-	// RecycleEvery rebuilds the kernel (fresh memory domain) after this
-	// many iterations, like a fuzzer rebooting its VM.
-	RecycleEvery int
 	// MutateBias is the per-iteration probability (0-256) of mutating a
 	// corpus program instead of generating afresh, once coverage
 	// feedback has populated the corpus. Negative disables mutation
@@ -80,8 +77,6 @@ type CampaignConfig struct {
 	// the measured hit-rate/throughput curve — see EXPERIMENTS.md); 1
 	// (or negative) restores classic one-mutant-per-pick scheduling.
 	MutateBatch int
-	// CurveSamples controls how many coverage curve points to record.
-	CurveSamples int
 	// NoMinimize skips reproducer minimization on discovered bugs.
 	NoMinimize bool
 	// Oracle enables the differential abstract-state soundness checker on
@@ -90,8 +85,6 @@ type CampaignConfig struct {
 	// surface as kernel.IndicatorSoundness findings. Off by default; the
 	// golden determinism fingerprint is defined with the oracle off.
 	Oracle bool
-	// RunsPerProgram executes each accepted program this many times.
-	RunsPerProgram int
 	// Cache, when non-nil, memoizes verifier verdicts across iterations
 	// (and kernel recycles — see internal/vcache). Single campaigns pass a
 	// *vcache.Store; ParallelCampaign hands each shard a *vcache.Shard
@@ -110,6 +103,18 @@ type CampaignConfig struct {
 	// watchdogs. The zero value leaves every mechanism off.
 	Supervision SupervisorConfig
 }
+
+// Fixed campaign parameters.
+const (
+	// recycleEvery rebuilds the kernel (fresh memory domain) after this
+	// many iterations, like a fuzzer rebooting its VM.
+	recycleEvery = 512
+	// curveSamples is how many coverage-curve points one Run records.
+	curveSamples = 48
+	// runsPerProgram executes each accepted program this many times; the
+	// reproducer and triage replay (Replay) run it the same number.
+	runsPerProgram = 2
+)
 
 // Campaign drives one tool against one kernel version.
 type Campaign struct {
@@ -149,20 +154,11 @@ type NovelProgram struct {
 
 // NewCampaign builds a campaign.
 func NewCampaign(cfg CampaignConfig) *Campaign {
-	if cfg.RecycleEvery == 0 {
-		cfg.RecycleEvery = 512
-	}
 	if cfg.MutateBias == 0 {
 		cfg.MutateBias = 96
 	}
 	if cfg.MutateBatch == 0 {
 		cfg.MutateBatch = 16
-	}
-	if cfg.CurveSamples == 0 {
-		cfg.CurveSamples = 48
-	}
-	if cfg.RunsPerProgram == 0 {
-		cfg.RunsPerProgram = 2
 	}
 	cfg.Supervision = cfg.Supervision.withDefaults()
 	src := newCountedSource(cfg.Seed)
@@ -213,28 +209,38 @@ func (c *Campaign) recycle() error {
 		Cache:         c.cfg.Cache,
 		CacheNanos:    &c.cacheNanos,
 	})
-	c.pool = c.pool[:0]
-	for _, spec := range poolSpecs {
-		fd, err := c.k.CreateMap(spec)
-		if err != nil {
-			return fmt.Errorf("campaign: pool map %s: %w", spec.Name, err)
-		}
-		c.pool = append(c.pool, MapHandle{FD: fd, Spec: spec})
+	var err error
+	if c.pool, err = installPool(c.k, c.pool[:0]); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
-	// Populate the prog array with a trivial target so generated
-	// tail calls have somewhere to land.
+	return nil
+}
+
+// installPool creates the standard resource pool on k in poolSpecs order,
+// appending the handles to pool, and populates the prog array with a
+// trivial target so generated tail calls have somewhere to land. Campaign
+// kernels, replay kernels and reset reproducer kernels are all built by
+// it, so a finding replays in exactly the environment it was found in.
+func installPool(k *kernel.Kernel, pool []MapHandle) ([]MapHandle, error) {
+	for _, spec := range poolSpecs {
+		fd, err := k.CreateMap(spec)
+		if err != nil {
+			return pool, fmt.Errorf("pool map %s: %w", spec.Name, err)
+		}
+		pool = append(pool, MapHandle{FD: fd, Spec: spec})
+	}
 	target := &isa.Program{
 		Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Name: "tail_target",
 		Insns: []isa.Instruction{isa.Mov64Imm(isa.R0, 1), isa.Exit()},
 	}
-	if lp, err := c.k.LoadProgram(target); err == nil {
-		for _, h := range c.pool {
+	if lp, err := k.LoadProgram(target); err == nil {
+		for _, h := range pool {
 			if h.Spec.Type == maps.ProgArray {
-				_ = c.k.SetProgArraySlot(h.FD, 0, lp.FD)
+				_ = k.SetProgArraySlot(h.FD, 0, lp.FD)
 			}
 		}
 	}
-	return nil
+	return pool, nil
 }
 
 // Stats returns the campaign's (live) statistics.
@@ -279,7 +285,7 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 	// only be caught by the shard supervisor, which is exactly what tests
 	// use it for.
 	faultinject.Fire("core.round")
-	sampleEvery := iters / c.cfg.CurveSamples
+	sampleEvery := iters / curveSamples
 	if sampleEvery == 0 {
 		sampleEvery = 1
 	}
@@ -287,7 +293,7 @@ func (c *Campaign) Run(iters int) (*Stats, error) {
 	base := c.stats.Iterations
 	for i := 0; i < iters; i++ {
 		gi := base + i
-		if c.k == nil || gi%c.cfg.RecycleEvery == 0 {
+		if c.k == nil || gi%recycleEvery == 0 {
 			if err := c.recycle(); err != nil {
 				return nil, err
 			}
@@ -477,7 +483,7 @@ func (c *Campaign) iteration(i int) {
 	tExec := time.Now()
 	triBefore := c.stats.StageNanos["triage"]
 	oChecks, oViols, oNanos := c.k.OracleChecks, c.k.OracleViolations, c.k.OracleNanos
-	for run := 0; run < c.cfg.RunsPerProgram; run++ {
+	for run := 0; run < runsPerProgram; run++ {
 		out := c.k.Run(lp)
 		if isExecWatchdog(out.Err) {
 			c.recordWatchdog("exec", i, prog)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/kernel"
-	"repro/internal/maps"
 )
 
 // Reproducer minimization: the paper only reports bugs with *stable
@@ -104,33 +103,47 @@ func MinimizeOpts(rep *Reproducer, prog *isa.Program, o MinimizeOptions) *isa.Pr
 }
 
 // NewReplayKernel builds a pristine kernel with the standard resource
-// pool and tail-call target installed — the environment reproducer checks
-// and the triage gauntlet replay programs in. The returned handles mirror
-// the pool a campaign iteration sees, in the same fd order. oracle must
-// match the finding campaign's Oracle setting: soundness findings only
-// reproduce under the oracle's hooked replay.
+// pool and tail-call target installed (installPool, exactly as a campaign
+// kernel gets them) — the environment reproducer checks and the triage
+// gauntlet replay programs in. oracle must match the finding campaign's
+// Oracle setting: soundness findings only reproduce under the oracle's
+// hooked replay.
 func NewReplayKernel(version kernel.Version, override bugs.Set, sanitize, oracle bool) (*kernel.Kernel, []MapHandle, error) {
 	k := kernel.New(kernel.Config{Version: version, Bugs: override, Sanitize: sanitize, Oracle: oracle})
-	pool := make([]MapHandle, 0, len(poolSpecs))
-	for _, spec := range poolSpecs {
-		fd, err := k.CreateMap(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		pool = append(pool, MapHandle{FD: fd, Spec: spec})
+	pool, err := installPool(k, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	installTailTarget(k)
 	return k, pool, nil
 }
 
+// Replay loads prog on k and runs it the way a campaign iteration does. A
+// load error is classified on its own (load-time bugs such as the kmemdup
+// warning surface there); otherwise the program runs runsPerProgram times
+// and the first run anomaly is returned. loadErr is the load error, if
+// any; anomaly is nil when nothing fired.
+func Replay(k *kernel.Kernel, prog *isa.Program) (anomaly *kernel.Anomaly, loadErr error) {
+	lp, err := k.LoadProgram(prog)
+	if err != nil {
+		return kernel.Classify(err), err
+	}
+	for run := 0; run < runsPerProgram; run++ {
+		if a := kernel.Classify(k.Run(lp).Err); a != nil {
+			return a, nil
+		}
+	}
+	return nil, nil
+}
+
 // NewReproducer builds a Reproducer for one seeded bug against the given
-// kernel version with the standard resource pool. One kernel is built up
-// front and Reset between Check calls — Kernel.Reset replays the exact
-// construction sequence (fresh memory domain, maps, fds, tail-call
-// target), so every probe still sees a pristine environment without
-// paying a full kernel build per minimization candidate.
+// kernel version with the standard resource pool. One replay kernel is
+// built up front and rebuilt in place between Check calls: Kernel.Reset
+// restores a pristine machine (fresh memory domain, no maps or programs)
+// and installPool re-creates the pool and tail-call target in the same fd
+// order, so every probe sees the environment NewReplayKernel built
+// without paying a full kernel build per minimization candidate.
 func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle bool, bug bugs.ID) *Reproducer {
-	k, _, kerr := NewReplayKernel(version, override, sanitize, oracle)
+	k, pool, kerr := NewReplayKernel(version, override, sanitize, oracle)
 	first := true
 	return &Reproducer{
 		Bug: bug,
@@ -139,59 +152,14 @@ func NewReproducer(version kernel.Version, override bugs.Set, sanitize, oracle b
 				return false
 			}
 			if !first {
-				if err := resetReplayKernel(k); err != nil {
+				k.Reset()
+				if _, err := installPool(k, pool[:0]); err != nil {
 					return false
 				}
 			}
 			first = false
-			lp, err := k.LoadProgram(prog)
-			if err != nil {
-				// Load-time bugs (the kmemdup warning) classify from
-				// the error itself.
-				if a := kernel.Classify(err); a != nil {
-					return k.Triage(a, prog) == bug
-				}
-				return false
-			}
-			for run := 0; run < 2; run++ {
-				out := k.Run(lp)
-				if a := kernel.Classify(out.Err); a != nil {
-					return k.Triage(a, prog) == bug
-				}
-			}
-			return false
+			a, _ := Replay(k, prog)
+			return a != nil && k.Triage(a, prog) == bug
 		},
-	}
-}
-
-// resetReplayKernel returns a replay kernel to the state NewReplayKernel
-// left it in: pristine machine, the standard resource pool in the same fd
-// order, and the tail-call target installed.
-func resetReplayKernel(k *kernel.Kernel) error {
-	k.Reset()
-	for _, spec := range poolSpecs {
-		if _, err := k.CreateMap(spec); err != nil {
-			return err
-		}
-	}
-	installTailTarget(k)
-	return nil
-}
-
-// installTailTarget mirrors the campaign's prog-array setup so tail-call
-// reproducers stay reproducible.
-func installTailTarget(k *kernel.Kernel) {
-	target := &isa.Program{
-		Type: isa.ProgTypeSocketFilter, GPLCompatible: true, Name: "tail_target",
-		Insns: []isa.Instruction{isa.Mov64Imm(isa.R0, 1), isa.Exit()},
-	}
-	lp, err := k.LoadProgram(target)
-	if err != nil {
-		return
-	}
-	for fd := int32(3); fd < 16; fd++ {
-		if m := k.MapByFD(fd); m != nil && m.Type == maps.ProgArray {
-			_ = k.SetProgArraySlot(fd, 0, lp.FD)
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/maps"
 )
 
 // minimizeFixture returns an always-reproducing checker and a program
@@ -163,4 +164,51 @@ func TestMinimizeRoundBudget(t *testing.T) {
 	if got.Validate(isa.MaxInsns) != nil {
 		t.Error("round-budgeted result does not validate")
 	}
+}
+
+// TestReplayEnvironmentMatchesCampaign pins the one kernel environment
+// findings are found and replayed in: a campaign's first kernel, a
+// NewReplayKernel kernel, and that kernel after the reproducer's reset
+// path (Kernel.Reset plus installPool) expose the same pool — same fds,
+// same specs, same order — with prog-array slot 0 holding the tail-call
+// target.
+func TestReplayEnvironmentMatchesCampaign(t *testing.T) {
+	c := NewCampaign(CampaignConfig{Source: BVFSource(true), Version: kernel.BPFNext, Sanitize: true, Seed: 1})
+	if err := c.recycle(); err != nil {
+		t.Fatal(err)
+	}
+	rk, rpool, err := NewReplayKernel(kernel.BPFNext, nil, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, k *kernel.Kernel, pool []MapHandle) {
+		t.Helper()
+		if len(pool) != len(c.pool) {
+			t.Fatalf("%s: %d pool maps, campaign has %d", name, len(pool), len(c.pool))
+		}
+		for i, h := range pool {
+			if h != c.pool[i] || h.Spec != poolSpecs[i] {
+				t.Errorf("%s: pool[%d] = %+v, campaign has %+v", name, i, h, c.pool[i])
+			}
+			m := k.MapByFD(h.FD)
+			if m == nil || m.Type != h.Spec.Type {
+				t.Errorf("%s: fd %d does not resolve to a %v map", name, h.FD, h.Spec.Type)
+				continue
+			}
+			if m.Type != maps.ProgArray {
+				continue
+			}
+			if p := k.M.ResolveProg(m.ProgAt(0)); p == nil || p.Name != "tail_target" {
+				t.Errorf("%s: prog array fd %d slot 0 holds no tail-call target", name, h.FD)
+			}
+		}
+	}
+	check("campaign", c.k, c.pool)
+	check("replay", rk, rpool)
+	rk.Reset()
+	reset, err := installPool(rk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reset replay", rk, reset)
 }

@@ -26,13 +26,11 @@ type ParallelConfig struct {
 	// Workers is the number of shards; <=0 selects runtime.NumCPU().
 	Workers int
 	// SyncEvery is the number of shard-local iterations between
-	// coordinator rounds (coverage merge + corpus exchange). Default
-	// 1024. Syncs are barriers: determinism does not depend on the
-	// goroutine schedule because shards only interact at round edges.
+	// coordinator rounds (coverage merge + corpus exchange); <=0 selects
+	// DefaultSyncEvery. Syncs are barriers: determinism does not depend
+	// on the goroutine schedule because shards only interact at round
+	// edges.
 	SyncEvery int
-	// ExchangeTop caps how many coverage-novel programs one shard
-	// broadcasts to the others per sync round. Default 8.
-	ExchangeTop int
 	// Progress, when non-nil, receives a periodic one-line progress
 	// report (iters/sec, acceptance rate, coverage, bugs found).
 	Progress io.Writer
@@ -52,6 +50,30 @@ type ParallelConfig struct {
 	// (single-writer insert), so cache contents never depend on the
 	// goroutine schedule. Overrides CampaignConfig.Cache.
 	SharedCache *vcache.Store
+}
+
+// DefaultSyncEvery is the coordinator round length, in shard-local
+// iterations, that ParallelConfig.SyncEvery defaults to.
+const DefaultSyncEvery = 1024
+
+// exchangeTop caps how many coverage-novel programs one shard broadcasts
+// to the others per sync round.
+const exchangeTop = 8
+
+// SplitQuota divides total iterations over n shards: an even share each,
+// with the remainder spread over the lowest indices. ParallelCampaign.Run
+// splits its budget across shards with it and orchestrator.SplitUnits
+// across work units, which is what lets a distributed campaign reproduce
+// a single-process one exactly.
+func SplitQuota(total, n int) []int {
+	quota := make([]int, n)
+	for i := range quota {
+		quota[i] = total / n
+		if i < total%n {
+			quota[i]++
+		}
+	}
+	return quota
 }
 
 // ParallelCampaign runs N worker shards, each an ordinary Campaign with
@@ -118,10 +140,7 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 		cfg.Workers = runtime.NumCPU()
 	}
 	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 1024
-	}
-	if cfg.ExchangeTop <= 0 {
-		cfg.ExchangeTop = 8
+		cfg.SyncEvery = DefaultSyncEvery
 	}
 	if cfg.ReportEvery <= 0 {
 		cfg.ReportEvery = 5 * time.Second
@@ -165,14 +184,6 @@ func (p *ParallelCampaign) Workers() int { return len(p.shards) }
 // per-shard statistics are folded in at the final barrier.
 func (p *ParallelCampaign) Stats() *Stats { return p.stats }
 
-// globalIteration maps a shard-local iteration index onto the global
-// axis: by local iteration i, the whole fleet has executed about
-// i*Workers iterations. The shard index breaks ties deterministically so
-// merged records from different shards never collide.
-func (p *ParallelCampaign) globalIteration(shard, local int) int {
-	return local*len(p.shards) + shard
-}
-
 // Stop requests a graceful stop: Run finishes the in-flight round,
 // records the final barrier state (and checkpoint, when configured), and
 // returns the merged statistics with ErrStopped. Safe to call from any
@@ -202,13 +213,7 @@ type shardOutcome struct {
 // them alongside the error — hours of fuzzing results from the other
 // shards must not vanish because one shard failed.
 func (p *ParallelCampaign) Run(total int) (*Stats, error) {
-	quota := make([]int, len(p.shards))
-	for i := range quota {
-		quota[i] = total / len(p.shards)
-		if i < total%len(p.shards) {
-			quota[i]++
-		}
-	}
+	quota := SplitQuota(total, len(p.shards))
 	// Quota assigned to already-retired shards (after a resume) moves to
 	// the survivors immediately.
 	for i := range p.shards {
@@ -388,10 +393,10 @@ func (p *ParallelCampaign) sync() {
 		if fresh == 0 || len(novel) == 0 {
 			continue
 		}
-		if len(novel) > p.cfg.ExchangeTop {
+		if len(novel) > exchangeTop {
 			// Keep the most recent entries: later additions subsume
 			// earlier coverage within the round.
-			novel = novel[len(novel)-p.cfg.ExchangeTop:]
+			novel = novel[len(novel)-exchangeTop:]
 		}
 		donations = append(donations, donation{from: i, entries: novel})
 	}
@@ -440,42 +445,19 @@ func (p *ParallelCampaign) recordRound() {
 }
 
 // mergeStats folds the shard statistics into p.stats with all
-// iteration-indexed fields translated onto the global axis. The global
-// coverage map (already the union of every shard round) becomes the
-// merged Coverage; shard curves are dropped in favour of the exact
-// global curve recorded at round barriers.
+// iteration-indexed fields translated onto the global axis
+// (Stats.OnGlobalAxis). The global coverage map (already the union of
+// every shard round) becomes the merged Coverage; shard curves are
+// dropped in favour of the exact global curve recorded at round barriers.
 func (p *ParallelCampaign) mergeStats() {
 	merged := NewStats(p.cfg.Source.Name(), p.cfg.Version)
 	merged.Coverage = p.global
 	merged.Curve = p.stats.Curve
 	for i, sh := range p.shards {
-		st := sh.Stats()
-		t := *st // shallow copy: shard stats stay untouched for later rounds
+		t := sh.Stats().OnGlobalAxis(i, len(p.shards))
 		t.Coverage = nil
 		t.Curve = nil
-		t.Bugs = make(map[BugKey]*BugRecord, len(st.Bugs))
-		for key, rec := range st.Bugs {
-			r := *rec
-			r.FoundAt = p.globalIteration(i, rec.FoundAt)
-			t.Bugs[key] = &r
-		}
-		t.UnattributedSamples = nil
-		for _, u := range st.UnattributedSamples {
-			u.FoundAt = p.globalIteration(i, u.FoundAt)
-			t.UnattributedSamples = append(t.UnattributedSamples, u)
-		}
-		t.TimeoutSamples = nil
-		for _, ts := range st.TimeoutSamples {
-			ts.FoundAt = p.globalIteration(i, ts.FoundAt)
-			t.TimeoutSamples = append(t.TimeoutSamples, ts)
-		}
-		t.HarnessCrashes = nil
-		for _, h := range st.HarnessCrashes {
-			h.Shard = i
-			h.Iteration = p.globalIteration(i, h.Iteration)
-			t.HarnessCrashes = append(t.HarnessCrashes, h)
-		}
-		merged.Merge(&t)
+		merged.Merge(t)
 	}
 	// Coordinator-side cache maintenance (barrier publishes) is booked as
 	// its own stage so shard stage shares still describe shard work.
@@ -490,7 +472,7 @@ func (p *ParallelCampaign) mergeStats() {
 		if len(merged.HarnessCrashes) >= maxHarnessCrashSamples {
 			break
 		}
-		h.Iteration = p.globalIteration(h.Shard, h.Iteration)
+		h.Iteration = globalIteration(h.Iteration, h.Shard, len(p.shards))
 		merged.HarnessCrashes = append(merged.HarnessCrashes, h)
 	}
 	// Merge replayed the (empty) curve; restore the global one.

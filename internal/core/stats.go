@@ -212,8 +212,8 @@ func (s *Stats) BugByID(id bugs.ID) *BugRecord {
 // merge, bug records deduplicate keeping the earliest FoundAt, and curve
 // points combine on a shared iteration axis. Callers merging shard-local
 // statistics must first translate other's iteration-indexed fields
-// (BugRecord.FoundAt, CurvePoint.Iteration) onto the global axis —
-// ParallelCampaign does this with globalIteration. other is not modified.
+// (BugRecord.FoundAt, CurvePoint.Iteration) onto the global axis with
+// OnGlobalAxis. other is not modified.
 func (s *Stats) Merge(other *Stats) {
 	if other == nil {
 		return
@@ -284,6 +284,50 @@ func (s *Stats) Merge(other *Stats) {
 	s.CachePrefixMisses += other.CachePrefixMisses
 	s.CacheInsertedBytes += other.CacheInsertedBytes
 	s.Curve = mergeCurves(s.Curve, other.Curve)
+}
+
+// globalIteration maps a shard-local iteration index onto the global
+// axis: by local iteration i, the whole fleet of shards has executed about
+// i*shards iterations. The shard index breaks ties deterministically so
+// merged records from different shards never collide.
+func globalIteration(local, shard, shards int) int {
+	return local*shards + shard
+}
+
+// OnGlobalAxis returns a shallow copy of s, the statistics of shard (or
+// work unit) shard out of shards, with every iteration-indexed field
+// translated onto the global axis: BugRecord.FoundAt, the unattributed
+// and timeout samples, harness-crash iterations and the coverage curve.
+// Harness crashes are attributed to shard. s is not modified.
+func (s *Stats) OnGlobalAxis(shard, shards int) *Stats {
+	t := *s
+	t.Bugs = make(map[BugKey]*BugRecord, len(s.Bugs))
+	for key, rec := range s.Bugs {
+		r := *rec
+		r.FoundAt = globalIteration(rec.FoundAt, shard, shards)
+		t.Bugs[key] = &r
+	}
+	t.UnattributedSamples = nil
+	for _, u := range s.UnattributedSamples {
+		u.FoundAt = globalIteration(u.FoundAt, shard, shards)
+		t.UnattributedSamples = append(t.UnattributedSamples, u)
+	}
+	t.TimeoutSamples = nil
+	for _, ts := range s.TimeoutSamples {
+		ts.FoundAt = globalIteration(ts.FoundAt, shard, shards)
+		t.TimeoutSamples = append(t.TimeoutSamples, ts)
+	}
+	t.HarnessCrashes = nil
+	for _, h := range s.HarnessCrashes {
+		h.Shard = shard
+		h.Iteration = globalIteration(h.Iteration, shard, shards)
+		t.HarnessCrashes = append(t.HarnessCrashes, h)
+	}
+	t.Curve = nil
+	for _, pt := range s.Curve {
+		t.Curve = append(t.Curve, CurvePoint{Iteration: globalIteration(pt.Iteration, shard, shards), Branches: pt.Branches})
+	}
+	return &t
 }
 
 // mergeCurves combines two coverage curves sharing an iteration axis into

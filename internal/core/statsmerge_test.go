@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -96,5 +97,43 @@ func statsFieldIsZero(v reflect.Value) bool {
 		return v.Len() == 0
 	default:
 		return v.IsZero()
+	}
+}
+
+// TestOnGlobalAxis checks the one shard-to-global translation both the
+// single-process merge and the distributed coordinator use: every
+// iteration-indexed field maps local -> local*shards+shard, harness
+// crashes are attributed to the shard, and the input stays untouched.
+func TestOnGlobalAxis(t *testing.T) {
+	const shard, shards = 2, 5
+	key := BugKey{ID: 3, Indicator: kernel.Indicator1, Kind: "kasan:oob"}
+	src := NewStats("axis", kernel.BPFNext)
+	src.Bugs[key] = &BugRecord{ID: 3, Kind: "kasan:oob", FoundAt: 10}
+	src.UnattributedSamples = []BugRecord{{Kind: "x", FoundAt: 11}}
+	src.TimeoutSamples = []TimeoutRecord{{Stage: "verify", FoundAt: 12}}
+	src.HarnessCrashes = []HarnessCrash{{Iteration: 13}}
+	src.Curve = []CurvePoint{{Iteration: 14, Branches: 3}, {Iteration: 15, Branches: 4}}
+	before := fmt.Sprintf("%+v %+v", *src, *src.Bugs[key])
+
+	got := src.OnGlobalAxis(shard, shards)
+	g := func(local int) int { return local*shards + shard }
+	if got.Bugs[key].FoundAt != g(10) {
+		t.Errorf("bug FoundAt = %d, want %d", got.Bugs[key].FoundAt, g(10))
+	}
+	if got.UnattributedSamples[0].FoundAt != g(11) {
+		t.Errorf("unattributed FoundAt = %d, want %d", got.UnattributedSamples[0].FoundAt, g(11))
+	}
+	if got.TimeoutSamples[0].FoundAt != g(12) {
+		t.Errorf("timeout FoundAt = %d, want %d", got.TimeoutSamples[0].FoundAt, g(12))
+	}
+	if h := got.HarnessCrashes[0]; h.Iteration != g(13) || h.Shard != shard {
+		t.Errorf("harness crash = iteration %d shard %d, want %d shard %d", h.Iteration, h.Shard, g(13), shard)
+	}
+	want := []CurvePoint{{Iteration: g(14), Branches: 3}, {Iteration: g(15), Branches: 4}}
+	if !reflect.DeepEqual(got.Curve, want) {
+		t.Errorf("curve = %+v, want %+v", got.Curve, want)
+	}
+	if after := fmt.Sprintf("%+v %+v", *src, *src.Bugs[key]); after != before {
+		t.Errorf("input modified:\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/kmem"
 	"repro/internal/maps"
 )
 
@@ -435,10 +436,22 @@ func NewRegistry() *Registry {
 		Ret:  RetInteger, Tracing: true,
 		Impl: func(env Env, args [5]uint64) (uint64, error) {
 			n := int(int32(args[1]))
-			buf := make([]byte, n)
-			copy(buf, "bvf-task")
-			if err := env.WriteMem(args[0], buf); err != nil {
-				return 0, err
+			if n < 0 {
+				// Only a verifier bug lets a negative size reach run
+				// time; report it as KASAN would, not as a Go panic.
+				return 0, &kmem.Report{Kind: kmem.ReportWild, Addr: args[0], Size: n, Write: true}
+			}
+			// Store the zero-padded comm one word at a time, exactly the
+			// checked stores WriteMem makes for an n-byte buffer, without
+			// materializing one: a verifier bug can let n reach 2 GiB.
+			for off := 0; off < n; off += 8 {
+				var word [8]byte
+				if off == 0 {
+					copy(word[:], "bvf-task")
+				}
+				if err := env.WriteMem(args[0]+uint64(off), word[:min(8, n-off)]); err != nil {
+					return 0, err
+				}
 			}
 			return 0, nil
 		},

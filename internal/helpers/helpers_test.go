@@ -1,9 +1,13 @@
 package helpers
 
 import (
+	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/kmem"
 )
 
 func TestRegistryCompleteness(t *testing.T) {
@@ -109,5 +113,61 @@ func TestRefFlagsConsistent(t *testing.T) {
 		if h.ReleasesRef && id != RingbufSubmit && id != RingbufDiscard {
 			t.Errorf("unexpected ReleasesRef on %s", h.Name)
 		}
+	}
+}
+
+// untouchedEnv satisfies Env for helper calls that must fail before
+// touching the environment: any Env method call panics.
+type untouchedEnv struct{ Env }
+
+// TestGetCurrentCommNegativeSize: a negative size reaches run time only
+// through an armed verifier bug. The helper must report it as a KASAN
+// wild access (an indicator #1 finding), not panic in makeslice, which
+// panic containment would turn into a harness crash hiding the finding.
+func TestGetCurrentCommNegativeSize(t *testing.T) {
+	h := NewRegistry().ByID(GetCurrentComm)
+	size := int64(-1047894685)
+	_, err := h.Impl(untouchedEnv{}, [5]uint64{0x1000, uint64(size)})
+	var rep *kmem.Report
+	if !errors.As(err, &rep) || rep.Kind != kmem.ReportWild {
+		t.Fatalf("err = %v, want a wild-access KASAN report", err)
+	}
+}
+
+// boundedEnv accepts sequential writes up to limit bytes and reports an
+// out-of-bounds store past them.
+type boundedEnv struct {
+	Env
+	limit   int
+	written []byte
+}
+
+func (e *boundedEnv) WriteMem(addr uint64, data []byte) error {
+	if len(e.written)+len(data) > e.limit {
+		return &kmem.Report{Kind: kmem.ReportOOB, Addr: addr, Size: len(data), Write: true}
+	}
+	e.written = append(e.written, data...)
+	return nil
+}
+
+// TestGetCurrentCommHugeSize: an oversized destination fails at the first
+// out-of-bounds store after writing the zero-padded comm, without the
+// harness first allocating a buffer of the (verifier-bug-sized) length.
+func TestGetCurrentCommHugeSize(t *testing.T) {
+	h := NewRegistry().ByID(GetCurrentComm)
+	env := &boundedEnv{limit: 16}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := h.Impl(env, [5]uint64{0x1000, 64 << 20})
+	runtime.ReadMemStats(&after)
+	var rep *kmem.Report
+	if !errors.As(err, &rep) || rep.Kind != kmem.ReportOOB {
+		t.Fatalf("err = %v, want the out-of-bounds store report", err)
+	}
+	if want := []byte("bvf-task\x00\x00\x00\x00\x00\x00\x00\x00"); !bytes.Equal(env.written, want) {
+		t.Errorf("written = %q, want %q", env.written, want)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("allocated %d bytes for a write that fails after 16", n)
 	}
 }

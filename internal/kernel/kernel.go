@@ -50,6 +50,17 @@ func (v Version) String() string {
 	return "unknown"
 }
 
+// ParseVersion is the inverse of Version.String: it maps a version name
+// ("v5.15", "v6.1", "bpf-next") onto its Version and rejects any other.
+func ParseVersion(s string) (Version, error) {
+	for _, v := range AllVersions {
+		if v.String() == s {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown kernel version %q (want v5.15, v6.1 or bpf-next)", s)
+}
+
 // AllVersions lists the evaluated kernels in paper order.
 var AllVersions = []Version{V515, V61, BPFNext}
 

@@ -461,6 +461,23 @@ func TestVersionDefaultBugSets(t *testing.T) {
 	}
 }
 
+// TestParseVersionRoundTrip pins ParseVersion as the exact inverse of
+// Version.String: every CLI and campaign spec resolves versions through
+// it, so a misspelling must fail instead of silently selecting a kernel.
+func TestParseVersionRoundTrip(t *testing.T) {
+	for _, v := range AllVersions {
+		got, err := ParseVersion(v.String())
+		if err != nil || got != v {
+			t.Errorf("ParseVersion(%q) = %v, %v; want %v", v.String(), got, err, v)
+		}
+	}
+	for _, s := range []string{"", "v6.2", "bpfnext", "BPF-NEXT", "unknown"} {
+		if v, err := ParseVersion(s); err == nil {
+			t.Errorf("ParseVersion(%q) = %v, want an error", s, v)
+		}
+	}
+}
+
 func TestTailCall(t *testing.T) {
 	k := newKernel(t, bugs.None(), true)
 	paFD, err := k.CreateMap(maps.Spec{Type: maps.ProgArray, KeySize: 4, ValueSize: 4, MaxEntries: 2, Name: "jt"})

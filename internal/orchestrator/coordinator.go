@@ -116,12 +116,11 @@ type tableSnapshot struct {
 }
 
 // NewCoordinator builds a coordinator for the spec, splitting the
-// iteration budget across units exactly the way core.ParallelCampaign
-// splits it across shards. When cfg.CheckpointPath names an existing
-// checkpoint, the campaign resumes from it: done units keep their merged
-// results, and the incarnation is bumped — and durably re-persisted
-// before any lease is granted — so every lease from the previous
-// incarnation is fenced.
+// iteration budget across units with SplitUnits. When cfg.CheckpointPath
+// names an existing checkpoint, the campaign resumes from it: done units
+// keep their merged results, and the incarnation is bumped — and durably
+// re-persisted before any lease is granted — so every lease from the
+// previous incarnation is fenced.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Spec.Units <= 0 {
 		return nil, errors.New("orchestrator: spec needs at least one unit")
@@ -170,17 +169,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // SplitUnits decomposes a spec into its work units: unit i gets seed
-// Seed+i and an even share of the budget with the remainder spread over
-// the lowest IDs — bit-compatible with ParallelCampaign.Run's shard
-// quota split, which is what makes a distributed campaign reproduce a
-// single-process one exactly.
+// Seed+i and quota core.SplitQuota(TotalIters, Units)[i], the seed and
+// budget of shard i of the equivalent single-process campaign.
 func SplitUnits(spec CampaignSpec) []Unit {
 	units := make([]Unit, spec.Units)
-	for i := range units {
-		q := spec.TotalIters / spec.Units
-		if i < spec.TotalIters%spec.Units {
-			q++
-		}
+	for i, q := range core.SplitQuota(spec.TotalIters, spec.Units) {
 		units[i] = Unit{ID: i, Seed: spec.Seed + int64(i), Quota: q}
 	}
 	return units
@@ -407,45 +400,17 @@ func (c *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	return ResultResponse{Status: StatusAccepted}, nil
 }
 
-// mergeUnitLocked folds one unit's statistics into the campaign totals,
-// translating iteration-indexed fields onto the global axis the same way
-// ParallelCampaign.mergeStats does for shards (unit ID == shard index).
+// mergeUnitLocked folds one unit's statistics into the campaign totals
+// on the global iteration axis (core.Stats.OnGlobalAxis; unit ID == shard
+// index).
 func (c *Coordinator) mergeUnitLocked(def Unit, st *core.Stats) {
 	st.Normalize()
-	w := c.cfg.Spec.Units
-	global := func(local int) int { return local*w + def.ID }
-	t := *st // shallow copy; the decoded stats are ours but keep the habit
-	t.Bugs = make(map[core.BugKey]*core.BugRecord, len(st.Bugs))
-	for key, rec := range st.Bugs {
-		r := *rec
-		r.FoundAt = global(rec.FoundAt)
-		t.Bugs[key] = &r
-	}
-	t.UnattributedSamples = nil
-	for _, u := range st.UnattributedSamples {
-		u.FoundAt = global(u.FoundAt)
-		t.UnattributedSamples = append(t.UnattributedSamples, u)
-	}
-	t.TimeoutSamples = nil
-	for _, ts := range st.TimeoutSamples {
-		ts.FoundAt = global(ts.FoundAt)
-		t.TimeoutSamples = append(t.TimeoutSamples, ts)
-	}
-	t.HarnessCrashes = nil
-	for _, h := range st.HarnessCrashes {
-		h.Shard = def.ID
-		h.Iteration = global(h.Iteration)
-		t.HarnessCrashes = append(t.HarnessCrashes, h)
-	}
-	t.Curve = nil
-	for _, pt := range st.Curve {
-		t.Curve = append(t.Curve, core.CurvePoint{Iteration: global(pt.Iteration), Branches: pt.Branches})
-	}
-	c.merged.Merge(&t)
+	t := st.OnGlobalAxis(def.ID, c.cfg.Spec.Units)
+	c.merged.Merge(t)
 	if c.gauntlet != nil {
 		env := triage.Env{Sanitize: c.cfg.Spec.Sanitize, Oracle: c.cfg.Spec.Oracle}
 		env.Version = mustVersion(c.cfg.Spec)
-		if _, err := c.gauntlet.Ingest(&t, env); err != nil {
+		if _, err := c.gauntlet.Ingest(t, env); err != nil {
 			c.logf("findings ingest for unit %d failed: %v", def.ID, err)
 		}
 	}

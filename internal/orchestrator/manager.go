@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -280,7 +281,7 @@ func (m *Manager) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if _, err := req.Spec.KernelVersion(); err != nil {
 		return SubmitResponse{}, err
 	}
-	if _, _, _, err := SourceForTool(req.Spec.Tool, mustVersion(req.Spec)); err != nil {
+	if _, _, _, err := baseline.SourceForTool(req.Spec.Tool, mustVersion(req.Spec)); err != nil {
 		return SubmitResponse{}, err
 	}
 	if client.MaxIters > 0 && req.Spec.TotalIters > client.MaxIters {

@@ -48,7 +48,7 @@ import (
 // receive it at registration and build their unit campaigns from it.
 type CampaignSpec struct {
 	// Tool selects the program source: "bvf", "syzkaller", "buzzer" or
-	// "buzzer-random" (same vocabulary as cmd/bvf's -tool).
+	// "buzzer-random" (baseline.SourceForTool).
 	Tool string
 	// Version is the kernel version string ("v5.15", "v6.1", "bpf-next").
 	Version string
@@ -60,7 +60,8 @@ type CampaignSpec struct {
 	// like shard i of a single-process core.ParallelCampaign.
 	Seed int64
 	// TotalIters is the campaign-wide iteration budget, split across
-	// units the way ParallelCampaign splits it across shards.
+	// units by core.SplitQuota, as ParallelCampaign splits it across
+	// shards.
 	TotalIters int
 	// Units is the number of work units (== the shard count of the
 	// equivalent single-process campaign).
@@ -74,20 +75,7 @@ type CampaignSpec struct {
 
 // KernelVersion parses the spec's Version field.
 func (s CampaignSpec) KernelVersion() (kernel.Version, error) {
-	return ParseVersion(s.Version)
-}
-
-// ParseVersion maps a version string onto kernel.Version.
-func ParseVersion(s string) (kernel.Version, error) {
-	switch s {
-	case "v5.15":
-		return kernel.V515, nil
-	case "v6.1":
-		return kernel.V61, nil
-	case "bpf-next":
-		return kernel.BPFNext, nil
-	}
-	return 0, fmt.Errorf("orchestrator: unknown kernel version %q", s)
+	return kernel.ParseVersion(s.Version)
 }
 
 // Unit is one leased work unit: a seed (the campaign base seed plus the

@@ -10,7 +10,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/kernel"
 )
 
 // ErrUnitAbandoned reports that a worker walked away from a leased unit
@@ -223,25 +222,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// SourceForTool maps a spec's tool name onto a program source, exactly
-// like cmd/bvf's -tool flag. sanitizeOK reports whether the tool works
-// with the BVF sanitation patches (baselines run without them), and
-// mutateBias is the tool's corpus-mutation bias (-1 disables mutation
-// for random-bytes fuzzers).
-func SourceForTool(tool string, ver kernel.Version) (src core.ProgramSource, sanitizeOK bool, mutateBias int, err error) {
-	switch tool {
-	case "bvf":
-		return core.BVFSource(ver.HasKfuncs()), true, 0, nil
-	case "syzkaller":
-		return baseline.Syz{}, false, 0, nil
-	case "buzzer":
-		return baseline.Buzz{Mode: baseline.BuzzALUJmp}, false, 0, nil
-	case "buzzer-random":
-		return baseline.Buzz{Mode: baseline.BuzzRandom}, false, -1, nil
-	}
-	return nil, false, 0, fmt.Errorf("orchestrator: unknown tool %q", tool)
-}
-
 // SpecRunner is the production UnitRunner: the unit is executed as one
 // shard of the spec's campaign — a Workers=1 core.ParallelCampaign
 // seeded with the unit seed — in rounds of SyncEvery iterations.
@@ -254,7 +234,7 @@ func SpecRunner(spec CampaignSpec, u Unit, progress func(int), abort func() bool
 	if err != nil {
 		return nil, err
 	}
-	src, sanitizeOK, mutate, err := SourceForTool(spec.Tool, ver)
+	src, sanitizeOK, mutate, err := baseline.SourceForTool(spec.Tool, ver)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +257,7 @@ func SpecRunner(spec CampaignSpec, u Unit, progress func(int), abort func() bool
 	})
 	chunk := spec.SyncEvery
 	if chunk <= 0 {
-		chunk = 1024 // keep in step with ParallelConfig's SyncEvery default
+		chunk = core.DefaultSyncEvery
 	}
 	executed := 0
 	for executed < u.Quota {

@@ -69,24 +69,18 @@ func reportFrom(k *kernel.Kernel, a *kernel.Anomaly, prog *isa.Program) Report {
 }
 
 // replayDirect loads and runs the program exactly as a campaign
-// iteration does: classify a load error, otherwise run twice.
+// iteration and the reproducer do (core.Replay).
 func replayDirect(env Env, prog *isa.Program) (Report, bool) {
 	k, _, err := core.NewReplayKernel(env.Version, env.Bugs, env.Sanitize, env.Oracle)
 	if err != nil {
 		return Report{}, false
 	}
-	lp, lerr := k.LoadProgram(prog)
-	if lerr != nil {
-		if a := kernel.Classify(lerr); a != nil {
-			return reportFrom(k, a, prog), true
-		}
+	a, lerr := core.Replay(k, prog)
+	switch {
+	case a != nil:
+		return reportFrom(k, a, prog), true
+	case lerr != nil:
 		return Report{Err: lerr.Error()}, true
-	}
-	for run := 0; run < 2; run++ {
-		out := k.Run(lp)
-		if a := kernel.Classify(out.Err); a != nil {
-			return reportFrom(k, a, prog), true
-		}
 	}
 	return Report{}, true
 }
