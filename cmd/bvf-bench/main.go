@@ -207,15 +207,12 @@ func buildReport(st *core.Stats, elapsed time.Duration, allocs, bytes uint64, or
 		CachePrefixHits:   st.CachePrefixHits,
 		CachePrefixMisses: st.CachePrefixMisses,
 
+		CacheHitRate:       st.CacheHitRate(),
+		CachePrefixHitRate: st.PrefixHitRate(),
+
 		MutateBatch:    batch,
 		MutateBatches:  st.MutateBatches,
 		MutateSiblings: st.MutateSiblings,
-	}
-	if lk := rep.CacheHits + rep.CacheMisses; lk > 0 {
-		rep.CacheHitRate = float64(rep.CacheHits) / float64(lk)
-	}
-	if lk := rep.CachePrefixHits + rep.CachePrefixMisses; lk > 0 {
-		rep.CachePrefixHitRate = float64(rep.CachePrefixHits) / float64(lk)
 	}
 	accounted := 0.0
 	for stage, ns := range st.StageNanos {

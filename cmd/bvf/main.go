@@ -67,7 +67,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"syscall"
 	"time"
 
@@ -259,65 +258,7 @@ func run() int {
 	}
 	fmt.Printf("\nelapsed:          %s (%.0f iters/sec)\n",
 		elapsed.Round(time.Millisecond), float64(st.Iterations)/elapsed.Seconds())
-	fmt.Printf("iterations:       %d\n", st.Iterations)
-	fmt.Printf("accepted:         %d (%.1f%%)\n", st.Accepted, 100*st.AcceptanceRate())
-	fmt.Printf("verifier coverage:%d branches\n", st.Coverage.Count())
-	fmt.Printf("corpus:           %d programs\n", st.CorpusSize)
-	if st.CrashCount > 0 || st.ShardRestarts > 0 {
-		fmt.Printf("harness crashes:  %d contained (%d shard restarts)\n", st.CrashCount, st.ShardRestarts)
-	}
-	if len(st.WatchdogTrips) > 0 {
-		fmt.Printf("watchdog trips:   %v\n", st.WatchdogTrips)
-	}
-	if st.SoundnessChecks > 0 {
-		fmt.Printf("oracle:           %d claims checked, %d violation(s)\n",
-			st.SoundnessChecks, st.SoundnessViolations)
-	}
-	if st.MutateBatches > 0 {
-		fmt.Printf("mutation batches: %d (%d siblings, %.1f avg batch)\n",
-			st.MutateBatches, st.MutateSiblings,
-			float64(st.MutateSiblings)/float64(st.MutateBatches))
-	}
-	if st.CacheHits+st.CacheMisses > 0 {
-		prefixRate := 0.0
-		if st.CachePrefixHits+st.CachePrefixMisses > 0 {
-			prefixRate = float64(st.CachePrefixHits) / float64(st.CachePrefixHits+st.CachePrefixMisses)
-		}
-		fmt.Printf("verdict cache:    %d hits / %d lookups (%.1f%%), %d prefix hits (%.1f%%), ~%s inserted\n",
-			st.CacheHits, st.CacheHits+st.CacheMisses,
-			100*float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses),
-			st.CachePrefixHits, 100*prefixRate, humanBytes(st.CacheInsertedBytes))
-	}
-	fmt.Printf("bugs found:       %d (%d verifier correctness, %d manifestations)\n\n",
-		len(st.BugIDs()), st.VerifierBugsFound(), len(st.Bugs))
-
-	var recs []*core.BugRecord
-	for _, rec := range st.Bugs {
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].FoundAt < recs[j].FoundAt })
-	for _, rec := range recs {
-		fmt.Printf("  [iter %7d] %-30s indicator%d  %s\n", rec.FoundAt, rec.ID, rec.Indicator, rec.Kind)
-		if *verbose {
-			fmt.Printf("    %s\n", rec.Err)
-			repro := rec.Minimized
-			if repro == nil {
-				repro = rec.Program
-			}
-			if repro != nil {
-				fmt.Println(indent(repro.String(), "    "))
-			}
-		}
-	}
-	if len(st.OtherAnomalies) > 0 {
-		fmt.Printf("\nunattributed anomalies: %v\n", st.OtherAnomalies)
-	}
-	for _, cr := range st.HarnessCrashes {
-		fmt.Printf("\nharness crash (shard %d, iter %d): %s\n", cr.Shard, cr.Iteration, cr.Value)
-		if *verbose && cr.Program != nil {
-			fmt.Println(indent(cr.Program.String(), "    "))
-		}
-	}
+	st.WriteSummary(os.Stdout, "", *verbose)
 	if *doTriage && !stopped {
 		if terr := runGauntlet(st, version, sanitize, *oracleFlag, *findingsDir); terr != nil {
 			note := ""
@@ -474,27 +415,4 @@ func timeoutOrOff(d time.Duration) time.Duration {
 		return -1
 	}
 	return d
-}
-
-// humanBytes renders a byte count with a binary unit suffix.
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
-func indent(s, pre string) string {
-	out := pre
-	for _, c := range s {
-		out += string(c)
-		if c == '\n' {
-			out += pre
-		}
-	}
-	return out
 }

@@ -42,11 +42,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -226,35 +226,26 @@ func printCampaigns(mgr *orchestrator.Manager) {
 		return
 	}
 	for _, info := range list.Campaigns {
-		fmt.Printf("\n[%s] %s owner=%s tool=%s units=%d/%d", info.ID, info.State, info.Owner, info.Spec.Tool, info.UnitsDone, info.Units)
-		if info.Stopped {
-			fmt.Printf(" (stopped)")
-		}
-		fmt.Println()
-		if info.Failure != "" {
-			fmt.Printf("  failure: %s\n", info.Failure)
-			continue
-		}
-		st := mgr.MergedStats(info.ID)
-		if st == nil {
-			continue
-		}
-		fmt.Printf("  iterations:       %d\n", st.Iterations)
-		fmt.Printf("  accepted:         %d (%.1f%%)\n", st.Accepted, 100*st.AcceptanceRate())
-		fmt.Printf("  verifier coverage:%d branches\n", st.Coverage.Count())
-		if cs, err := mgr.Status(orchestrator.StatusRequest{Campaign: info.ID}); err == nil {
-			fmt.Printf("  refunded leases:  %d\n", cs.RefundedLeases)
-		}
-		fmt.Printf("  bugs found:       %d (%d verifier correctness, %d manifestations)\n",
-			len(st.BugIDs()), st.VerifierBugsFound(), len(st.Bugs))
-		var recs []*core.BugRecord
-		for _, rec := range st.Bugs {
-			recs = append(recs, rec)
-		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].FoundAt < recs[j].FoundAt })
-		for _, rec := range recs {
-			fmt.Printf("    [iter %7d] %-30s indicator%d  %s\n", rec.FoundAt, rec.ID, rec.Indicator, rec.Kind)
-		}
+		cs, _ := mgr.Status(orchestrator.StatusRequest{Campaign: info.ID})
+		writeCampaign(os.Stdout, info, cs.RefundedLeases, mgr.MergedStats(info.ID))
+	}
+}
+
+// writeCampaign renders one campaign's summary block: the [cN] header,
+// then either its failure or its refunded leases and the shared Stats
+// summary (nothing more when st is nil).
+func writeCampaign(w io.Writer, info orchestrator.CampaignInfo, refunded int, st *core.Stats) {
+	fmt.Fprintf(w, "\n[%s] %s owner=%s tool=%s units=%d/%d", info.ID, info.State, info.Owner, info.Spec.Tool, info.UnitsDone, info.Units)
+	if info.Stopped {
+		fmt.Fprint(w, " (stopped)")
+	}
+	fmt.Fprintln(w)
+	switch {
+	case info.Failure != "":
+		fmt.Fprintf(w, "  failure: %s\n", info.Failure)
+	case st != nil:
+		fmt.Fprintf(w, "  refunded leases:  %d\n", refunded)
+		st.WriteSummary(w, "  ", false)
 	}
 }
 

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/bugs"
+	"repro/internal/core"
+	"repro/internal/kernel"
+	"repro/internal/orchestrator"
+)
+
+// TestWriteCampaign pins the summary block the e2e drills parse (header,
+// iterations, refunded leases, bug lines) and checks that bvfd reports
+// contained harness crashes and watchdog trips like bvf does.
+func TestWriteCampaign(t *testing.T) {
+	st := core.NewStats("BVF", kernel.BPFNext)
+	st.Iterations = 60000
+	st.Bugs[core.BugKey{ID: bugs.Bug6SendSignal, Indicator: kernel.Indicator2, Kind: "kernel-panic"}] = &core.BugRecord{
+		ID: bugs.Bug6SendSignal, Indicator: kernel.Indicator2, Kind: "kernel-panic", FoundAt: 675,
+	}
+	st.CrashCount = 1
+	st.HarnessCrashes = []core.HarnessCrash{{Shard: 0, Iteration: 9, Value: "boom"}}
+	st.WatchdogTrips[core.WatchdogVerify] = 1
+	info := orchestrator.CampaignInfo{ID: "c1", State: "completed", Owner: "anonymous", Spec: orchestrator.CampaignSpec{Tool: "bvf"}, UnitsDone: 3, Units: 3}
+
+	var b strings.Builder
+	writeCampaign(&b, info, 2, st)
+	out := b.String()
+	if m := regexp.MustCompile(`(?m)^\[(c\d)\] (\w+) `).FindStringSubmatch(out); m == nil || m[1] != "c1" || m[2] != "completed" {
+		t.Errorf("header = %v\n%s", m, out)
+	}
+	if m := regexp.MustCompile(`iterations:\s+(\d+)`).FindStringSubmatch(out); m == nil || m[1] != "60000" {
+		t.Errorf("iterations line = %v\n%s", m, out)
+	}
+	if m := regexp.MustCompile(`refunded leases:\s+(\d+)`).FindStringSubmatch(out); m == nil || m[1] != "2" {
+		t.Errorf("refunded leases line = %v\n%s", m, out)
+	}
+	if got := bugSet(out); !got["675|"+bugs.Bug6SendSignal.String()+"|2|kernel-panic"] {
+		t.Errorf("bug lines = %v\n%s", got, out)
+	}
+	for _, want := range []string{
+		"\n    [iter     675] ",
+		"\n  harness crashes:  1 contained (0 shard restarts)\n",
+		"\n  watchdog trips:   1 verify, 0 exec\n",
+		"\n  harness crash (shard 0, iter 9): boom\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("block lacks %q:\n%s", want, out)
+		}
+	}
+
+	// A failed campaign prints its failure and no summary.
+	b.Reset()
+	info.Failure = "worker pool exhausted"
+	writeCampaign(&b, info, 0, st)
+	if out := b.String(); !strings.Contains(out, "  failure: worker pool exhausted\n") || strings.Contains(out, "iterations:") {
+		t.Errorf("failed campaign block:\n%s", out)
+	}
+}

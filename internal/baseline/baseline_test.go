@@ -33,8 +33,8 @@ func campaign(t *testing.T, src core.ProgramSource, sanitize bool, iters int) *c
 }
 
 func aluJmpShare(st *core.Stats) float64 {
-	alu := st.InsnClassMix["alu32"] + st.InsnClassMix["alu64"] +
-		st.InsnClassMix["jmp"] + st.InsnClassMix["jmp32"]
+	alu := st.InsnClassMix[isa.ClassALU] + st.InsnClassMix[isa.ClassALU64] +
+		st.InsnClassMix[isa.ClassJMP] + st.InsnClassMix[isa.ClassJMP32]
 	total := 0
 	for _, n := range st.InsnClassMix {
 		total += n

@@ -34,8 +34,10 @@ var magic = [8]byte{'B', 'V', 'F', 'C', 'K', 'P', 'T', '\n'}
 // mismatch fails Load rather than guessing. v2: Stats.Bugs keyed by the
 // full manifestation signature (core.BugKey) instead of the bug ID.
 // v3: snapshots carry the shared verdict-cache contents and Stats grew
-// the cache hit/miss counters.
-const FormatVersion = 3
+// the cache hit/miss counters. v4: Stats.WatchdogTrips and
+// Stats.InsnClassMix are fixed arrays indexed by enum instead of
+// string-keyed maps.
+const FormatVersion = 4
 
 // headerSize is magic + version(u32) + payload length(u64) + crc(u32).
 const headerSize = 8 + 4 + 8 + 4

@@ -91,13 +91,11 @@ type CampaignConfig struct {
 	// view of one shared store. Stats gains Cache* counters when set.
 	Cache verifier.Cache
 	// OnIteration, when non-nil, is invoked after every fuzzing
-	// iteration. ParallelCampaign uses it to feed the live progress
-	// reporter; the callback must be cheap and concurrency-safe.
+	// iteration; it must be cheap.
 	OnIteration func()
 	// OnStage, when non-nil, is invoked with each pipeline stage's
-	// wall-clock duration as it completes ("gen", "verify", "exec",
-	// "triage"). ParallelCampaign uses it to aggregate live stage shares
-	// across shards; the callback must be cheap and concurrency-safe.
+	// wall-clock duration as it completes (one of Stages); it must be
+	// cheap.
 	OnStage func(stage string, d time.Duration)
 	// Supervision configures panic containment and the wall-clock
 	// watchdogs. The zero value leaves every mechanism off.
@@ -138,7 +136,7 @@ type Campaign struct {
 
 	// cacheNanos accumulates the verifier's self-reported cache-layer
 	// wall clock (verifier.Config.CacheNanos); iteration() books per-call
-	// deltas as the "cache" stage instead of "verify".
+	// deltas as StageCache instead of StageVerify.
 	cacheNanos int64
 
 	k    *kernel.Kernel
@@ -432,21 +430,23 @@ func (c *Campaign) iteration(i int) {
 		prog = c.cfg.Source.Generate(c.r, c.pool)
 	}
 	c.lastProg = prog
-	c.countInsnMix(prog)
+	for _, ins := range prog.Insns {
+		c.stats.InsnClassMix[ins.Class()&0x07]++
+	}
 	tVerify := time.Now()
-	c.addStage("gen", tVerify.Sub(tGen))
+	c.addStage(StageGen, tVerify.Sub(tGen))
 
 	covBefore := c.stats.Coverage.Count()
 	cacheBefore := c.cacheNanos
 	lp, err := c.k.LoadProgram(prog)
 	newCov := c.stats.Coverage.Count() - covBefore
 	// The verifier self-reports its cache-layer wall clock; book it as
-	// the "cache" stage so "verify" is actual verification work.
+	// StageCache so StageVerify is actual verification work.
 	if d := c.cacheNanos - cacheBefore; d > 0 {
-		c.addStage("cache", time.Duration(d))
-		c.addStage("verify", time.Since(tVerify)-time.Duration(d))
+		c.addStage(StageCache, time.Duration(d))
+		c.addStage(StageVerify, time.Since(tVerify)-time.Duration(d))
 	} else {
-		c.addStage("verify", time.Since(tVerify))
+		c.addStage(StageVerify, time.Since(tVerify))
 	}
 	if lp != nil && lp.Res != nil && lp.Res.PeakStates > c.stats.PeakWorklist {
 		c.stats.PeakWorklist = lp.Res.PeakStates
@@ -457,7 +457,7 @@ func (c *Campaign) iteration(i int) {
 			// The watchdog aborted a worklist explosion: a harness
 			// resource limit, not a verifier verdict. Count and keep
 			// the program for triage instead of skewing ErrnoHist.
-			c.recordWatchdog("verify", i, prog)
+			c.recordWatchdog(WatchdogVerify, i, prog)
 			return
 		}
 		c.recordReject(err)
@@ -476,17 +476,17 @@ func (c *Campaign) iteration(i int) {
 		c.addNovel(prog, newCov)
 	}
 
-	// Triage (recordAnomaly) self-times into the "triage" stage, so the
-	// exec stage is the wall clock over the run loop minus whatever triage
+	// Triage (recordAnomaly) self-times into StageTriage, so the exec
+	// stage is the wall clock over the run loop minus whatever triage
 	// accrued inside it — minimization of a fresh finding must not be
 	// booked as execution time.
 	tExec := time.Now()
-	triBefore := c.stats.StageNanos["triage"]
+	triBefore := c.stats.StageNanos[StageTriage]
 	oChecks, oViols, oNanos := c.k.OracleChecks, c.k.OracleViolations, c.k.OracleNanos
 	for run := 0; run < runsPerProgram; run++ {
 		out := c.k.Run(lp)
 		if isExecWatchdog(out.Err) {
-			c.recordWatchdog("exec", i, prog)
+			c.recordWatchdog(WatchdogExec, i, prog)
 			break
 		}
 		if a := kernel.Classify(out.Err); a != nil {
@@ -495,21 +495,21 @@ func (c *Campaign) iteration(i int) {
 		}
 	}
 	c.postRunSyscalls(i, lp, prog)
-	triDelta := c.stats.StageNanos["triage"] - triBefore
+	triDelta := c.stats.StageNanos[StageTriage] - triBefore
 	// Oracle replays run inside kernel.Run; their wall clock is booked as
-	// a stage of its own so "exec" keeps measuring the primary runs.
+	// a stage of its own so StageExec keeps measuring the primary runs.
 	oDelta := c.k.OracleNanos - oNanos
 	c.stats.SoundnessChecks += c.k.OracleChecks - oChecks
 	c.stats.SoundnessViolations += c.k.OracleViolations - oViols
 	if oDelta > 0 {
-		c.addStage("oracle", time.Duration(oDelta))
+		c.addStage(StageOracle, time.Duration(oDelta))
 	}
-	c.addStage("exec", time.Since(tExec)-time.Duration(triDelta)-time.Duration(oDelta))
+	c.addStage(StageExec, time.Since(tExec)-time.Duration(triDelta)-time.Duration(oDelta))
 }
 
 // recordWatchdog counts a wall-clock watchdog trip and keeps the program
 // for triage.
-func (c *Campaign) recordWatchdog(stage string, i int, prog *isa.Program) {
+func (c *Campaign) recordWatchdog(stage WatchdogStage, i int, prog *isa.Program) {
 	c.stats.WatchdogTrips[stage]++
 	if len(c.stats.TimeoutSamples) < maxTimeoutSamples {
 		c.stats.TimeoutSamples = append(c.stats.TimeoutSamples, TimeoutRecord{
@@ -553,7 +553,7 @@ func (c *Campaign) postRunSyscalls(i int, lp *kernel.LoadedProg, prog *isa.Progr
 }
 
 func (c *Campaign) recordReject(err error) {
-	defer func(t0 time.Time) { c.addStage("triage", time.Since(t0)) }(time.Now())
+	defer func(t0 time.Time) { c.addStage(StageTriage, time.Since(t0)) }(time.Now())
 	errno, word := rejectInfo(err)
 	c.stats.ErrnoHist[errno]++
 	if word != "" {
@@ -562,7 +562,7 @@ func (c *Campaign) recordReject(err error) {
 }
 
 func (c *Campaign) recordAnomaly(i int, a *kernel.Anomaly, prog *isa.Program) {
-	defer func(t0 time.Time) { c.addStage("triage", time.Since(t0)) }(time.Now())
+	defer func(t0 time.Time) { c.addStage(StageTriage, time.Since(t0)) }(time.Now())
 	id := c.k.Triage(a, prog)
 	if id == 0 {
 		c.stats.OtherAnomalies[a.Kind]++
@@ -589,18 +589,4 @@ func (c *Campaign) recordAnomaly(i int, a *kernel.Anomaly, prog *isa.Program) {
 		}
 	}
 	c.stats.Bugs[key] = rec
-}
-
-func (c *Campaign) countInsnMix(p *isa.Program) {
-	// Tally into a class-indexed array first: two string-map operations
-	// per instruction made this accounting visible in profiles.
-	var counts [8]int
-	for _, ins := range p.Insns {
-		counts[ins.Class()&0x07]++
-	}
-	for cl, n := range counts {
-		if n != 0 {
-			c.stats.InsnClassMix[isa.ClassName(uint8(cl))] += n
-		}
-	}
 }

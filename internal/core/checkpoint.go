@@ -123,11 +123,7 @@ func (s *Snapshot) TotalDone() int {
 // restored Stats is indistinguishable from a NewStats-built one. Every
 // consumer of gob-decoded statistics (checkpoint resume, the
 // orchestrator's result ingest) must call it before merging.
-func (s *Stats) Normalize() { s.normalize() }
-
-// normalize re-initializes the map fields gob omits when empty, so a
-// restored Stats is indistinguishable from a NewStats-built one.
-func (s *Stats) normalize() {
+func (s *Stats) Normalize() {
 	if s.ErrnoHist == nil {
 		s.ErrnoHist = make(map[int]int)
 	}
@@ -136,12 +132,6 @@ func (s *Stats) normalize() {
 	}
 	if s.OtherAnomalies == nil {
 		s.OtherAnomalies = make(map[string]int)
-	}
-	if s.InsnClassMix == nil {
-		s.InsnClassMix = make(map[string]int)
-	}
-	if s.WatchdogTrips == nil {
-		s.WatchdogTrips = make(map[string]int)
 	}
 	if s.Bugs == nil {
 		s.Bugs = make(map[BugKey]*BugRecord)
@@ -175,7 +165,7 @@ func (c *Campaign) restoreState(st *CampaignState) {
 	c.r = rand.New(c.src)
 	c.cfg.Seed = st.Seed
 	if st.Stats != nil {
-		st.Stats.normalize()
+		st.Stats.Normalize()
 		c.stats = st.Stats
 	}
 	c.corpus.Import(st.Corpus)

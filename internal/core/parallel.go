@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +33,8 @@ type ParallelConfig struct {
 	// edges.
 	SyncEvery int
 	// Progress, when non-nil, receives a periodic one-line progress
-	// report (iters/sec, acceptance rate, coverage, bugs found).
+	// report (iters/sec, acceptance rate, coverage, bugs found, stage
+	// shares, cache hit rates) formatted from round-barrier Stats.
 	Progress io.Writer
 	// ReportEvery is the progress-report interval. Default 5s.
 	ReportEvery time.Duration
@@ -110,28 +112,10 @@ type ParallelCampaign struct {
 	// stopped requests a graceful stop; Run honours it at round edges.
 	stopped atomic.Bool
 
-	// Live counters for the progress reporter (the only state touched
-	// concurrently by shards mid-round).
-	liveIters    atomic.Int64
-	liveAccepted atomic.Int64
-	liveCoverage atomic.Int64
-	liveBugs     atomic.Int64
-	// liveStageNS accumulates per-stage wall-clock nanoseconds across all
-	// shards, indexed by stageIndex order (gen, verify, exec, triage).
-	liveStageNS [len(stageNames)]atomic.Int64
-}
-
-// stageNames fixes the reporter's stage order; stageIndex maps a
-// Campaign OnStage callback's stage name onto it.
-var stageNames = [...]string{"gen", "verify", "exec", "triage"}
-
-func stageIndex(stage string) int {
-	for i, n := range stageNames {
-		if n == stage {
-			return i
-		}
-	}
-	return -1
+	// latest is the newest barrier snapshot, the progress reporter's only
+	// input; runStart anchors its elapsed times.
+	latest   atomic.Pointer[progress]
+	runStart time.Time
 }
 
 // NewParallelCampaign builds a sharded campaign.
@@ -160,8 +144,6 @@ func NewParallelCampaign(cfg ParallelConfig) *ParallelCampaign {
 	for i := 0; i < cfg.Workers; i++ {
 		sc := cfg.CampaignConfig
 		sc.Seed = cfg.Seed + int64(i)
-		sc.OnIteration = func() { p.liveIters.Add(1) }
-		sc.OnStage = p.recordStage
 		if cfg.SharedCache != nil {
 			p.caches[i] = cfg.SharedCache.NewShard()
 			sc.Cache = p.caches[i]
@@ -323,8 +305,6 @@ func (p *ParallelCampaign) rebuildShard(i int) {
 	old := p.shards[i]
 	sc := p.cfg.CampaignConfig
 	sc.Seed = deriveSeed(p.cfg.Seed, i, p.restarts[i])
-	sc.OnIteration = func() { p.liveIters.Add(1) }
-	sc.OnStage = p.recordStage
 	sc.NoMinimize = true
 	if p.cfg.SharedCache != nil {
 		// Fresh view: the crashed round's pending inserts are untrusted
@@ -424,24 +404,42 @@ func (p *ParallelCampaign) sync() {
 	p.recordRound()
 }
 
-// recordRound appends a global coverage-curve point and refreshes the
-// reporter counters. Runs at the barrier only.
+// recordRound drops the shard curves, which mergeStats never reads (the
+// global curve supersedes them) and which would otherwise grow with
+// every round and every checkpoint, then publishes a progress snapshot
+// and appends its global coverage-curve point. Runs at the barrier only.
 func (p *ParallelCampaign) recordRound() {
-	iters, accepted, nbugs := 0, 0, map[BugKey]bool{}
 	for _, sh := range p.shards {
-		st := sh.Stats()
-		iters += st.Iterations
-		accepted += st.Accepted
-		for key := range st.Bugs {
-			nbugs[key] = true
-		}
+		sh.stats.Curve = sh.stats.Curve[:0]
 	}
+	pr := p.publishProgress()
 	p.stats.Curve = append(p.stats.Curve, CurvePoint{
-		Iteration: iters, Branches: p.global.Count(),
+		Iteration: pr.stats.Iterations, Branches: pr.coverage,
 	})
-	p.liveAccepted.Store(int64(accepted))
-	p.liveCoverage.Store(int64(p.global.Count()))
-	p.liveBugs.Store(int64(len(nbugs)))
+}
+
+// progress is one barrier's view of a ParallelCampaign, immutable once
+// published: the shard Stats merged, with the coordinator's publish time
+// under StageCache, and the global coverage count.
+type progress struct {
+	elapsed  time.Duration // since Run started
+	stats    *Stats
+	coverage int
+}
+
+// publishProgress merges the shard statistics into a fresh progress
+// snapshot and publishes it to the reporter. Barrier-only.
+func (p *ParallelCampaign) publishProgress() *progress {
+	sum := NewStats(p.cfg.Source.Name(), p.cfg.Version)
+	for _, sh := range p.shards {
+		st := *sh.Stats()
+		st.Coverage = nil // counted from the global map instead
+		sum.Merge(&st)
+	}
+	sum.StageNanos[StageCache] += p.cacheNanos
+	pr := &progress{elapsed: time.Since(p.runStart), stats: sum, coverage: p.global.Count()}
+	p.latest.Store(pr)
+	return pr
 }
 
 // mergeStats folds the shard statistics into p.stats with all
@@ -462,7 +460,7 @@ func (p *ParallelCampaign) mergeStats() {
 	// Coordinator-side cache maintenance (barrier publishes) is booked as
 	// its own stage so shard stage shares still describe shard work.
 	if p.cacheNanos > 0 {
-		merged.StageNanos["cache"] += p.cacheNanos
+		merged.StageNanos[StageCache] += p.cacheNanos
 	}
 	// Shard-level crashes (caught by the goroutine supervisor rather than
 	// the per-iteration containment) live on the coordinator, not in any
@@ -495,18 +493,13 @@ func (p *ParallelCampaign) mergeStats() {
 	p.stats = merged
 }
 
-// recordStage folds one shard stage duration into the live reporter
-// counters (concurrency-safe; called from every shard goroutine).
-func (p *ParallelCampaign) recordStage(stage string, d time.Duration) {
-	if i := stageIndex(stage); i >= 0 {
-		p.liveStageNS[i].Add(int64(d))
-	}
-}
-
-// startReporter launches the periodic progress printer; the returned
-// function stops it. The reporter reads only atomic counters, so it is
+// startReporter publishes the Run's starting snapshot and, when Progress
+// is set, launches the periodic progress printer; the returned function
+// stops it. The printer reads only published snapshots, so it is
 // race-free against running shards.
 func (p *ParallelCampaign) startReporter() func() {
+	p.runStart = time.Now()
+	prev := p.publishProgress()
 	if p.cfg.Progress == nil {
 		return func() {}
 	}
@@ -515,60 +508,53 @@ func (p *ParallelCampaign) startReporter() func() {
 	go func() {
 		tick := time.NewTicker(p.cfg.ReportEvery)
 		defer tick.Stop()
-		start := time.Now()
-		last, lastAt := int64(0), start
+		last := prev
 		for {
 			select {
 			case <-done:
 				return
-			case now := <-tick.C:
-				iters := p.liveIters.Load()
-				rate := float64(iters-last) / now.Sub(lastAt).Seconds()
-				last, lastAt = iters, now
-				accepted := p.liveAccepted.Load()
-				acc := 0.0
-				if iters > 0 {
-					acc = float64(accepted) / float64(iters)
+			case <-tick.C:
+				// Without a new barrier since the last tick, repeat the
+				// last interval rather than report a zero rate.
+				if cur := p.latest.Load(); cur != last {
+					prev, last = last, cur
 				}
-				var stageNS [len(stageNames)]int64
-				var totalNS int64
-				for i := range stageNS {
-					stageNS[i] = p.liveStageNS[i].Load()
-					totalNS += stageNS[i]
-				}
-				stages := ""
-				if totalNS > 0 {
-					for i, n := range stageNames {
-						stages += fmt.Sprintf(" %s %.0f%%", n,
-							100*float64(stageNS[i])/float64(totalNS))
-					}
-				}
-				cacheShare := ""
-				if p.cfg.SharedCache != nil {
-					// Whole-program and prefix-resume hit shares, side by
-					// side: the first says how often verification was skipped
-					// outright, the second how often it resumed mid-trace.
-					cnt := p.cfg.SharedCache.CounterSnapshot()
-					cacheShare = fmt.Sprintf("  cache %.0f%%/%.0f%%",
-						100*hitShare(cnt.Hits, cnt.Misses),
-						100*hitShare(cnt.PrefixHits, cnt.PrefixMisses))
-				}
-				fmt.Fprintf(p.cfg.Progress,
-					"[%8s] %d iters  %.0f/s  accept %.1f%%  coverage %d  bugs %d%s%s\n",
-					now.Sub(start).Round(time.Second), iters, rate, 100*acc,
-					p.liveCoverage.Load(), p.liveBugs.Load(), stages, cacheShare)
+				fmt.Fprintln(p.cfg.Progress, formatProgress(prev, last))
 			}
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// hitShare returns hits/(hits+misses), 0 when there were no lookups.
-func hitShare(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
+// formatProgress renders the progress line for the interval from prev to
+// cur. The rate counts only iterations run in that interval, so a resumed
+// campaign's restored iterations never read as speed; stage shares are
+// over every stage.
+func formatProgress(prev, cur *progress) string {
+	st := cur.stats
+	rate := 0.0
+	if dt := cur.elapsed - prev.elapsed; dt > 0 {
+		rate = float64(st.Iterations-prev.stats.Iterations) / dt.Seconds()
 	}
-	return float64(hits) / float64(hits+misses)
+	var b strings.Builder
+	fmt.Fprintf(&b, "[%8s] %d iters  %.0f/s  accept %.1f%%  coverage %d  bugs %d",
+		cur.elapsed.Round(time.Second), st.Iterations, rate, 100*st.AcceptanceRate(), cur.coverage, len(st.Bugs))
+	var total int64
+	for _, ns := range st.StageNanos {
+		total += ns
+	}
+	for _, stage := range Stages {
+		if ns := st.StageNanos[stage]; ns > 0 {
+			fmt.Fprintf(&b, " %s %.0f%%", stage, 100*float64(ns)/float64(total))
+		}
+	}
+	if st.CacheHits+st.CacheMisses > 0 {
+		// Whole-program and prefix-resume hit rates, side by side: the
+		// first says how often verification was skipped outright, the
+		// second how often it resumed mid-trace.
+		fmt.Fprintf(&b, "  hits %.0f%%/%.0f%%", 100*st.CacheHitRate(), 100*st.PrefixHitRate())
+	}
+	return b.String()
 }
 
 func remaining(quota []int) bool {

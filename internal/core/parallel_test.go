@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bugs"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 )
 
@@ -202,7 +203,7 @@ func TestStatsMergeHistogramsAndCounters(t *testing.T) {
 	b.ErrnoHist[22] = 2
 	a.RejectReasons["R1"] = 1
 	b.RejectReasons["R1"] = 2
-	b.InsnClassMix["alu64"] = 9
+	b.InsnClassMix[isa.ClassALU64] = 9
 	a.Merge(b)
 	if a.Iterations != 150 || a.Accepted != 70 {
 		t.Errorf("counters: iters %d accepted %d", a.Iterations, a.Accepted)
@@ -213,7 +214,7 @@ func TestStatsMergeHistogramsAndCounters(t *testing.T) {
 	if a.RejectReasons["R1"] != 3 {
 		t.Errorf("reject reasons: %v", a.RejectReasons)
 	}
-	if a.InsnClassMix["alu64"] != 9 {
+	if a.InsnClassMix[isa.ClassALU64] != 9 {
 		t.Errorf("insn mix: %v", a.InsnClassMix)
 	}
 }
@@ -350,4 +351,28 @@ func TestStatsMergeCoverage(t *testing.T) {
 	if b.Coverage.Count() != 2 {
 		t.Errorf("other's coverage modified: %d sites", b.Coverage.Count())
 	}
+}
+
+// TestShardCurvesBounded: the coordinator drops shard coverage curves at
+// every barrier (mergeStats only reads the global curve), so after many
+// rounds each shard holds at most one round's points, while the merged
+// curve keeps one point per round.
+func TestShardCurvesBounded(t *testing.T) {
+	const rounds = 6
+	cfg := parallelConfig(2, 3)
+	cfg.SyncEvery = 256
+	p := NewParallelCampaign(cfg)
+	st, err := p.Run(rounds * 2 * cfg.SyncEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range p.shards {
+		if n := len(sh.Stats().Curve); n > curveSamples+1 {
+			t.Errorf("shard %d curve has %d points after %d rounds, want <= %d", i, n, rounds, curveSamples+1)
+		}
+	}
+	if len(st.Curve) != rounds {
+		t.Errorf("merged curve has %d points, want one per round (%d)", len(st.Curve), rounds)
+	}
+	assertCurveConsistent(t, st)
 }

@@ -78,13 +78,14 @@ type Stats struct {
 	// the effective batch size the reporter and bench reports show.
 	MutateBatches  int
 	MutateSiblings int
-	// InsnClassMix counts generated instructions by class, for the
-	// Buzzer comparison ("88.4%+ instructions are ALU and JMP").
-	InsnClassMix map[string]int
+	// InsnClassMix counts generated instructions by class, indexed by
+	// isa.Class*, for the Buzzer comparison ("88.4%+ instructions are ALU
+	// and JMP").
+	InsnClassMix [8]int
 
 	// StageNanos accumulates per-stage wall-clock nanoseconds, keyed by
-	// pipeline stage ("gen", "verify", "exec", "triage"). It answers
-	// "where does an iteration's time go" without a profiler attached.
+	// pipeline stage (Stages). It answers "where does an iteration's time
+	// go" without a profiler attached.
 	StageNanos map[string]int64
 	// PeakWorklist is the largest verifier exploration worklist observed
 	// across every accepted program (Result.PeakStates high-water mark).
@@ -92,14 +93,13 @@ type Stats struct {
 
 	// SoundnessChecks counts (instruction, register) claims the abstract-
 	// state oracle asserted across all oracle replays (CampaignConfig.Oracle
-	// only; oracle replay time lands in StageNanos["oracle"]).
+	// only; oracle replay time lands in StageNanos[StageOracle]).
 	SoundnessChecks int
 	// SoundnessViolations counts oracle replays that hit a violation.
 	SoundnessViolations int
 
-	// WatchdogTrips counts wall-clock watchdog activations by stage
-	// ("verify" for worklist explosions, "exec" for runaway executions).
-	WatchdogTrips map[string]int
+	// WatchdogTrips counts wall-clock watchdog activations by stage.
+	WatchdogTrips [numWatchdogStages]int
 	// TimeoutSamples keeps a few watchdog-tripped programs for triage,
 	// analogous to UnattributedSamples.
 	TimeoutSamples []TimeoutRecord
@@ -124,10 +124,38 @@ type Stats struct {
 	CacheInsertedBytes int64
 }
 
+// Pipeline stages, the keys of Stats.StageNanos.
+const (
+	StageGen    = "gen"
+	StageVerify = "verify"
+	// StageCache is the verdict cache's own bookkeeping: lookups and
+	// inserts inside verification, plus a parallel campaign's barrier
+	// publishes.
+	StageCache  = "cache"
+	StageExec   = "exec"
+	StageOracle = "oracle"
+	StageTriage = "triage"
+)
+
+// Stages lists every pipeline stage in reporting order.
+var Stages = [...]string{StageGen, StageVerify, StageCache, StageExec, StageOracle, StageTriage}
+
+// WatchdogStage is the pipeline stage a wall-clock watchdog aborted.
+type WatchdogStage uint8
+
+const (
+	// WatchdogVerify is a verifier worklist explosion.
+	WatchdogVerify WatchdogStage = iota
+	// WatchdogExec is a runaway execution.
+	WatchdogExec
+	numWatchdogStages
+)
+
+func (s WatchdogStage) String() string { return [...]string{StageVerify, StageExec}[s] }
+
 // TimeoutRecord is one watchdog-tripped program kept for triage.
 type TimeoutRecord struct {
-	// Stage is "verify" or "exec".
-	Stage string
+	Stage WatchdogStage
 	// FoundAt is the iteration index (global axis after a parallel merge).
 	FoundAt int
 	Program *isa.Program
@@ -152,9 +180,7 @@ func NewStats(tool string, v kernel.Version) *Stats {
 		Coverage:       coverage.NewMap(),
 		Bugs:           make(map[BugKey]*BugRecord),
 		OtherAnomalies: make(map[string]int),
-		InsnClassMix:   make(map[string]int),
 		StageNanos:     make(map[string]int64),
-		WatchdogTrips:  make(map[string]int),
 	}
 }
 
@@ -165,6 +191,21 @@ func (s *Stats) AcceptanceRate() float64 {
 		return 0
 	}
 	return float64(s.Accepted) / float64(s.Iterations)
+}
+
+// CacheHitRate returns the whole-program verdict-cache hit share, 0 when
+// there were no lookups.
+func (s *Stats) CacheHitRate() float64 { return share(s.CacheHits, s.CacheMisses) }
+
+// PrefixHitRate returns the prefix-snapshot hit share, 0 when there were
+// no lookups.
+func (s *Stats) PrefixHitRate() float64 { return share(s.CachePrefixHits, s.CachePrefixMisses) }
+
+func share(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 // VerifierBugsFound counts discovered verifier correctness bugs. Multiple
@@ -258,9 +299,6 @@ func (s *Stats) Merge(other *Stats) {
 	}
 	s.SoundnessChecks += other.SoundnessChecks
 	s.SoundnessViolations += other.SoundnessViolations
-	if len(other.WatchdogTrips) > 0 && s.WatchdogTrips == nil {
-		s.WatchdogTrips = make(map[string]int)
-	}
 	for k, v := range other.WatchdogTrips {
 		s.WatchdogTrips[k] += v
 	}

@@ -55,6 +55,10 @@ func populateStatsField(t *testing.T, name string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int64:
 		v.SetInt(7)
+	case reflect.Array:
+		for j := 0; j < v.Len(); j++ {
+			v.Index(j).Set(sampleValue(t, name, v.Type().Elem()))
+		}
 	case reflect.Slice:
 		v.Set(reflect.Append(v, sampleValue(t, name, v.Type().Elem())))
 	case reflect.Map:
@@ -95,6 +99,14 @@ func statsFieldIsZero(v reflect.Value) bool {
 		return v.Int() == 0
 	case reflect.Slice, reflect.Map:
 		return v.Len() == 0
+	case reflect.Array:
+		// Every element was populated; losing any one is a dropped merge.
+		for j := 0; j < v.Len(); j++ {
+			if v.Index(j).IsZero() {
+				return true
+			}
+		}
+		return false
 	default:
 		return v.IsZero()
 	}
@@ -110,7 +122,7 @@ func TestOnGlobalAxis(t *testing.T) {
 	src := NewStats("axis", kernel.BPFNext)
 	src.Bugs[key] = &BugRecord{ID: 3, Kind: "kasan:oob", FoundAt: 10}
 	src.UnattributedSamples = []BugRecord{{Kind: "x", FoundAt: 11}}
-	src.TimeoutSamples = []TimeoutRecord{{Stage: "verify", FoundAt: 12}}
+	src.TimeoutSamples = []TimeoutRecord{{Stage: WatchdogVerify, FoundAt: 12}}
 	src.HarnessCrashes = []HarnessCrash{{Iteration: 13}}
 	src.Curve = []CurvePoint{{Iteration: 14, Branches: 3}, {Iteration: 15, Branches: 4}}
 	before := fmt.Sprintf("%+v %+v", *src, *src.Bugs[key])

@@ -153,8 +153,8 @@ func TestVerifyWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WatchdogTrips["verify"] != 3 {
-		t.Fatalf("WatchdogTrips[verify] = %d, want 3", st.WatchdogTrips["verify"])
+	if st.WatchdogTrips[WatchdogVerify] != 3 {
+		t.Fatalf("WatchdogTrips[verify] = %d, want 3", st.WatchdogTrips[WatchdogVerify])
 	}
 	if st.Accepted != 0 {
 		t.Errorf("Accepted = %d, want 0 (every verification timed out)", st.Accepted)
@@ -163,7 +163,7 @@ func TestVerifyWatchdog(t *testing.T) {
 		t.Fatalf("TimeoutSamples = %d, want 3", len(st.TimeoutSamples))
 	}
 	for _, s := range st.TimeoutSamples {
-		if s.Stage != "verify" || s.Program == nil {
+		if s.Stage != WatchdogVerify || s.Program == nil {
 			t.Errorf("timeout sample %+v: want stage verify with program", s)
 		}
 	}
@@ -195,11 +195,11 @@ func TestExecWatchdog(t *testing.T) {
 	if st.Accepted == 0 {
 		t.Fatal("no accepted programs; test needs at least one execution")
 	}
-	if st.WatchdogTrips["exec"] == 0 {
+	if st.WatchdogTrips[WatchdogExec] == 0 {
 		t.Fatal("exec watchdog never tripped")
 	}
 	for _, s := range st.TimeoutSamples {
-		if s.Stage != "exec" {
+		if s.Stage != WatchdogExec {
 			t.Errorf("timeout sample stage = %q, want exec", s.Stage)
 		}
 	}
@@ -252,7 +252,7 @@ func TestSupervisionBitIdentical(t *testing.T) {
 			t.Fatalf("ErrnoHist[%d] diverged: %d vs %d", k, v, b.ErrnoHist[k])
 		}
 	}
-	if b.CrashCount != 0 || b.ShardRestarts != 0 || len(b.WatchdogTrips) != 0 {
+	if b.CrashCount != 0 || b.ShardRestarts != 0 || b.WatchdogTrips != [numWatchdogStages]int{} {
 		t.Errorf("supervised no-fault run recorded incidents: %+v %+v",
 			b.CrashCount, b.WatchdogTrips)
 	}

@@ -433,8 +433,8 @@ func Acceptance(budget int) (*AcceptanceResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		alu := st.InsnClassMix["alu32"] + st.InsnClassMix["alu64"] +
-			st.InsnClassMix["jmp"] + st.InsnClassMix["jmp32"]
+		alu := st.InsnClassMix[isa.ClassALU] + st.InsnClassMix[isa.ClassALU64] +
+			st.InsnClassMix[isa.ClassJMP] + st.InsnClassMix[isa.ClassJMP32]
 		total := 0
 		for _, n := range st.InsnClassMix {
 			total += n

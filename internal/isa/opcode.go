@@ -201,19 +201,6 @@ func IsALUClass(class uint8) bool { return class == ClassALU || class == ClassAL
 // IsJmpClass reports whether the class is a jump.
 func IsJmpClass(class uint8) bool { return class == ClassJMP || class == ClassJMP32 }
 
-var classNames = map[uint8]string{
-	ClassLD: "ld", ClassLDX: "ldx", ClassST: "st", ClassSTX: "stx",
-	ClassALU: "alu32", ClassJMP: "jmp", ClassJMP32: "jmp32", ClassALU64: "alu64",
-}
-
-// ClassName returns a short mnemonic for an instruction class.
-func ClassName(class uint8) string {
-	if n, ok := classNames[class&0x07]; ok {
-		return n
-	}
-	return fmt.Sprintf("class(%#x)", class)
-}
-
 var aluNames = map[uint8]string{
 	ALUAdd: "+=", ALUSub: "-=", ALUMul: "*=", ALUDiv: "/=",
 	ALUOr: "|=", ALUAnd: "&=", ALULsh: "<<=", ALURsh: ">>=",

@@ -91,22 +91,6 @@ func (s *Store) Lookup(fp uint64, p *isa.Program) *verifier.CachedVerdict {
 	return v
 }
 
-// LookupCanon is Lookup keyed by pre-built canonical bytes instead of a
-// live program — the form checkpoint round-trip tests use, since they
-// exercise the store with synthetic entries that have no program behind
-// them.
-func (s *Store) LookupCanon(fp uint64, canon []byte) *verifier.CachedVerdict {
-	s.mu.RLock()
-	v := s.entries[fp]
-	s.mu.RUnlock()
-	if v != nil && bytes.Equal(v.Prog, canon) {
-		s.hits.Add(1)
-		return v
-	}
-	s.misses.Add(1)
-	return nil
-}
-
 func (s *Store) lookupNoCount(fp uint64, p *isa.Program) *verifier.CachedVerdict {
 	s.mu.RLock()
 	v := s.entries[fp]
@@ -219,10 +203,9 @@ func (s *Store) PrefixLen() int {
 	return len(s.prefixes)
 }
 
-// CounterSnapshot returns the store-wide effectiveness counters. With
-// Shard views, shard-local lookups/inserts are folded into the store
-// counters immediately (atomics), so this reflects the whole campaign;
-// reporters use it for the live hit-share line.
+// CounterSnapshot returns the counters of direct Store use: lookups made
+// on the Store itself and every insert, including those Shard views
+// publish. Shard lookups count only in their Shard's CounterSnapshot.
 func (s *Store) CounterSnapshot() Counters {
 	return Counters{
 		Hits:          s.hits.Load(),
@@ -231,15 +214,6 @@ func (s *Store) CounterSnapshot() Counters {
 		PrefixMisses:  s.prefixMisses.Load(),
 		InsertedBytes: s.insertedBytes.Load(),
 	}
-}
-
-// HitRate returns the verdict hit share in [0, 1].
-func (s *Store) HitRate() float64 {
-	h, m := s.hits.Load(), s.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // Serialized is the gob-portable form of a store's verdict entries, in
@@ -302,9 +276,9 @@ type Shard struct {
 	// visible, or a round's capture decisions would depend on shard timing.
 	pendingSeen map[uint64]struct{}
 
-	// local counts this shard's own lookups/inserts. The same events are
-	// folded into the store atomics for the live reporter; Stats pulls
-	// per-shard deltas from local so Merge never double-counts.
+	// local counts this shard's own lookups/inserts; Stats pulls
+	// per-shard deltas from it. Lookups touch no Store counter, so a
+	// shard shares no mutable state mid-round.
 	local Counters
 }
 
@@ -328,10 +302,8 @@ func (sh *Shard) Lookup(fp uint64, p *isa.Program) *verifier.CachedVerdict {
 	}
 	if v != nil {
 		sh.local.Hits++
-		sh.store.hits.Add(1)
 	} else {
 		sh.local.Misses++
-		sh.store.misses.Add(1)
 	}
 	return v
 }
@@ -354,10 +326,8 @@ func (sh *Shard) LookupPrefix(fp uint64, canon []byte) *verifier.PrefixSnapshot 
 	}
 	if p != nil {
 		sh.local.PrefixHits++
-		sh.store.prefixHits.Add(1)
 	} else {
 		sh.local.PrefixMisses++
-		sh.store.prefixMisses.Add(1)
 	}
 	return p
 }
