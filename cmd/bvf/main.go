@@ -64,6 +64,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -131,11 +132,11 @@ func run() int {
 			Oracle: *oracleFlag, Seed: *seed, TotalIters: *iters,
 			Units: *workers, SyncEvery: core.DefaultSyncEvery,
 		}
-		return runCampaignOp(campaignOp{
-			coordinator: *coordinator, token: *token, spec: spec,
+		return runCampaignOp(orchestrator.NewClient(*coordinator, "bvf-cli"), campaignOp{
+			token: *token, spec: spec,
 			submit: *submit, list: *listCamps,
 			statusID: *statusID, stopID: *stopID, drain: *drainCoord,
-		})
+		}, os.Stdout)
 	}
 
 	stopProf, perr := profFlags.Start()
@@ -304,19 +305,19 @@ func runWorker(coordinator, name string) int {
 
 // campaignOp bundles one control-plane subcommand invocation.
 type campaignOp struct {
-	coordinator, token string
-	spec               orchestrator.CampaignSpec
-	submit, list       bool
-	statusID, stopID   string
-	drain              bool
+	token            string
+	spec             orchestrator.CampaignSpec
+	submit, list     bool
+	statusID, stopID string
+	drain            bool
 }
 
 // runCampaignOp executes the campaign-management subcommands against a
-// bvfd coordinator. The client retries transient failures (including
-// 429 shedding, honoring the server's Retry-After hint) and surfaces
+// bvfd coordinator through cl and prints the result to w. The client
+// retries transient failures (including a 429 over the client's
+// campaign quota, honoring the server's Retry-After hint) and surfaces
 // hard rejections — bad token, over-quota budget — immediately.
-func runCampaignOp(op campaignOp) int {
-	cl := orchestrator.NewClient(op.coordinator, "bvf-cli")
+func runCampaignOp(cl *orchestrator.Client, op campaignOp, w io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "bvf: %v\n", err)
 		return 1
@@ -327,7 +328,7 @@ func runCampaignOp(op campaignOp) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("campaign %s submitted (%s): %s for %d iterations across %d units\n",
+		fmt.Fprintf(w, "campaign %s submitted (%s): %s for %d iterations across %d units\n",
 			resp.ID, resp.State, op.spec.Tool, op.spec.TotalIters, op.spec.Units)
 	case op.list:
 		resp, err := cl.Campaigns(orchestrator.ListRequest{Token: op.token})
@@ -335,9 +336,9 @@ func runCampaignOp(op campaignOp) int {
 			return fail(err)
 		}
 		if resp.Draining {
-			fmt.Println("coordinator: DRAINING")
+			fmt.Fprintln(w, "coordinator: DRAINING")
 		}
-		fmt.Printf("%-6s %-12s %-10s %-10s %8s %12s  %s\n", "ID", "OWNER", "STATE", "TOOL", "UNITS", "ITERS", "NOTES")
+		fmt.Fprintf(w, "%-6s %-12s %-10s %-10s %8s %12s  %s\n", "ID", "OWNER", "STATE", "TOOL", "UNITS", "ITERS", "NOTES")
 		for _, c := range resp.Campaigns {
 			notes := ""
 			if c.Stopped {
@@ -346,34 +347,34 @@ func runCampaignOp(op campaignOp) int {
 			if c.Failure != "" {
 				notes = "failure: " + c.Failure
 			}
-			fmt.Printf("%-6s %-12s %-10s %-10s %4d/%-4d %12d  %s\n",
-				c.ID, c.Owner, c.State, c.Spec.Tool, c.UnitsDone, c.Units, c.Iterations, notes)
+			fmt.Fprintf(w, "%-6s %-12s %-10s %-10s %4d/%-4d %12d  %s\n",
+				c.ID, c.Owner, c.State, c.Spec.Tool, c.UnitsDone, c.Spec.Units, c.Iterations, notes)
 		}
 	case op.statusID != "":
 		resp, err := cl.Status(op.statusID)
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("campaign %s: %s, %d/%d units done, %d iterations merged, %d refunded lease(s)\n",
-			resp.Campaign, resp.State, resp.UnitsDone, len(resp.Units), resp.Iterations, resp.RefundedLeases)
+		fmt.Fprintf(w, "campaign %s: %s, %d/%d units done, %d iterations merged, %d refunded lease(s)\n",
+			resp.ID, resp.State, resp.UnitsDone, resp.Spec.Units, resp.Iterations, resp.RefundedLeases)
 		for _, u := range resp.Units {
-			fmt.Printf("  unit %2d [%d iters] %-8s %s\n", u.ID, u.Quota, u.State, u.Worker)
+			fmt.Fprintf(w, "  unit %2d [%d iters] %-8s %s\n", u.ID, u.Quota, u.State, u.Worker)
 		}
 		for _, b := range resp.Bugs {
-			fmt.Printf("  bug %s\n", b)
+			fmt.Fprintf(w, "  bug %s\n", b)
 		}
 	case op.stopID != "":
 		resp, err := cl.StopCampaign(orchestrator.StopRequest{Token: op.token, ID: op.stopID})
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("campaign %s: %s\n", resp.ID, resp.State)
+		fmt.Fprintf(w, "campaign %s: %s\n", resp.ID, resp.State)
 	case op.drain:
 		resp, err := cl.Drain(orchestrator.DrainRequest{Token: op.token})
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Printf("coordinator draining %d active campaign(s)\n", resp.Campaigns)
+		fmt.Fprintf(w, "coordinator draining %d active campaign(s)\n", resp.Campaigns)
 	}
 	return 0
 }

@@ -6,10 +6,9 @@
 // Usage:
 //
 //	bvfd [-addr HOST:PORT] [-state-dir DIR] [-lease-ttl D] [-serve]
-//	     [-auth SPEC] [-max-active N] [-max-inflight N] [-retry-after D]
-//	     [-version bpf-next|v6.1|v5.15] [-iters N] [-seed N] [-units N]
-//	     [-tool bvf|syzkaller|buzzer|buzzer-random] [-nosanitize]
-//	     [-oracle] [-sync-every N] [-triage]
+//	     [-auth SPEC] [-version bpf-next|v6.1|v5.15] [-iters N] [-seed N]
+//	     [-units N] [-tool bvf|syzkaller|buzzer|buzzer-random]
+//	     [-nosanitize] [-oracle] [-sync-every N] [-triage] [-v]
 //
 // Two modes:
 //
@@ -32,11 +31,12 @@
 // lifecycle states survive: a restarted bvfd resumes them.
 //
 // -auth enables admission control. Its value is a comma-separated list
-// of client entries "name=token[:maxcampaigns[:maxiters]]"; submissions
-// must then carry a listed token, each client is bounded to its
-// concurrent-campaign quota (excess is shed with 429 + Retry-After), and
-// a campaign whose budget exceeds the client's per-campaign iteration
-// cap is rejected outright.
+// of client entries "name=token[:maxcampaigns[:maxiters]]" (quotas are
+// non-negative; 0 or an omitted field means unlimited); submissions must
+// then carry a listed token, each client is bounded to its
+// concurrent-campaign quota (excess gets 429 + Retry-After, the poll
+// interval), and a campaign whose budget exceeds the client's
+// per-campaign iteration cap is rejected outright.
 package main
 
 import (
@@ -66,10 +66,7 @@ func run() int {
 		leaseTTL = flag.Duration("lease-ttl", 15*time.Second, "lease expiry without a heartbeat")
 		serve    = flag.Bool("serve", false, "run as a long-lived service (campaigns are submitted over the control plane)")
 
-		authSpec    = flag.String("auth", "", "admission control: comma-separated name=token[:maxcampaigns[:maxiters]] client entries (empty: open access)")
-		maxActive   = flag.Int("max-active", 0, "concurrently running campaigns; excess queue as pending (0: unlimited)")
-		maxInflight = flag.Int("max-inflight", 0, "concurrent lease/submit requests before shedding with 429 (0: unlimited)")
-		retryAfter  = flag.Duration("retry-after", 0, "Retry-After hint attached to shed (429) responses (0: derived)")
+		authSpec = flag.String("auth", "", "admission control: comma-separated name=token[:maxcampaigns[:maxiters]] client entries (empty: open access)")
 
 		version   = flag.String("version", "bpf-next", "kernel version: v5.15, v6.1 or bpf-next")
 		iters     = flag.Int("iters", 100000, "campaign-wide iteration budget")
@@ -99,9 +96,6 @@ func run() int {
 		StateDir:     *stateDir,
 		LeaseTTL:     *leaseTTL,
 		Auth:         auth,
-		MaxActive:    *maxActive,
-		MaxInflight:  *maxInflight,
-		RetryAfter:   *retryAfter,
 		ExitWhenIdle: !*serve,
 		Logf:         logf,
 	})
@@ -114,11 +108,7 @@ func run() int {
 	// state dir restored previous campaigns, in which case this run
 	// resumes them (a restart must not duplicate the campaign).
 	if !*serve {
-		restored, err := mgr.List(orchestrator.ListRequest{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvfd: %v\n", err)
-			return 1
-		}
+		restored := mgr.List()
 		if len(restored.Campaigns) == 0 {
 			spec := orchestrator.CampaignSpec{
 				Tool:       *tool,
@@ -156,7 +146,6 @@ func run() int {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	start := time.Now()
-	pollInterval := *leaseTTL / 4
 
 	select {
 	case <-mgr.Done():
@@ -170,14 +159,7 @@ func run() int {
 			time.Sleep(100 * time.Millisecond)
 		}
 		mgr.CheckpointAll()
-		// Answer a few more polls so every waiting worker's next lease
-		// call sees StatusDrain and exits cleanly.
-		grace := 2 * pollInterval
-		if grace < time.Second {
-			grace = time.Second
-		}
-		time.Sleep(grace)
-		_ = srv.Close()
+		linger(srv, *leaseTTL)
 		fmt.Fprintf(os.Stderr, "bvfd: drained; state checkpointed, exiting\n")
 		printCampaigns(mgr)
 		return 0
@@ -186,22 +168,13 @@ func run() int {
 		return 1
 	}
 	elapsed := time.Since(start)
-	// Keep answering for a couple of poll intervals so every waiting
-	// worker's next lease call sees StatusDone and exits cleanly,
-	// instead of dying on a refused connection.
-	grace := 2 * pollInterval
-	if grace < time.Second {
-		grace = time.Second
-	}
-	time.Sleep(grace)
-	_ = srv.Close()
+	linger(srv, *leaseTTL)
 
 	fmt.Printf("\nall campaigns complete in %s\n", elapsed.Round(time.Millisecond))
 	printCampaigns(mgr)
 
 	if *doTriage {
-		list, _ := mgr.List(orchestrator.ListRequest{})
-		for _, info := range list.Campaigns {
+		for _, info := range mgr.List().Campaigns {
 			store := mgr.Store(info.ID)
 			if store == nil || store.Len() == 0 {
 				continue
@@ -219,43 +192,55 @@ func run() int {
 	return 0
 }
 
+// linger keeps answering for two poll intervals (the manager's default,
+// a quarter lease TTL; at least a second) before closing the server, so
+// every waiting worker's next lease call sees StatusDone or StatusDrain
+// and exits cleanly instead of dying on a refused connection.
+func linger(srv *http.Server, leaseTTL time.Duration) {
+	time.Sleep(max(2*(leaseTTL/4), time.Second))
+	_ = srv.Close()
+}
+
 // printCampaigns renders every campaign's final summary.
 func printCampaigns(mgr *orchestrator.Manager) {
-	list, err := mgr.List(orchestrator.ListRequest{})
-	if err != nil {
-		return
-	}
-	for _, info := range list.Campaigns {
-		cs, _ := mgr.Status(orchestrator.StatusRequest{Campaign: info.ID})
-		writeCampaign(os.Stdout, info, cs.RefundedLeases, mgr.MergedStats(info.ID))
+	for _, info := range mgr.List().Campaigns {
+		st, err := mgr.Status(orchestrator.StatusRequest{Campaign: info.ID})
+		if err != nil {
+			continue
+		}
+		writeCampaign(os.Stdout, st, mgr.MergedStats(info.ID))
 	}
 }
 
 // writeCampaign renders one campaign's summary block: the [cN] header,
 // then either its failure or its refunded leases and the shared Stats
-// summary (nothing more when st is nil).
-func writeCampaign(w io.Writer, info orchestrator.CampaignInfo, refunded int, st *core.Stats) {
-	fmt.Fprintf(w, "\n[%s] %s owner=%s tool=%s units=%d/%d", info.ID, info.State, info.Owner, info.Spec.Tool, info.UnitsDone, info.Units)
-	if info.Stopped {
+// summary (nothing more when stats is nil).
+func writeCampaign(w io.Writer, st orchestrator.StatusResponse, stats *core.Stats) {
+	fmt.Fprintf(w, "\n[%s] %s owner=%s tool=%s units=%d/%d", st.ID, st.State, st.Owner, st.Spec.Tool, st.UnitsDone, st.Spec.Units)
+	if st.Stopped {
 		fmt.Fprint(w, " (stopped)")
 	}
 	fmt.Fprintln(w)
 	switch {
-	case info.Failure != "":
-		fmt.Fprintf(w, "  failure: %s\n", info.Failure)
-	case st != nil:
-		fmt.Fprintf(w, "  refunded leases:  %d\n", refunded)
-		st.WriteSummary(w, "  ", false)
+	case st.Failure != "":
+		fmt.Fprintf(w, "  failure: %s\n", st.Failure)
+	case stats != nil:
+		fmt.Fprintf(w, "  refunded leases:  %d\n", st.RefundedLeases)
+		stats.WriteSummary(w, "  ", false)
 	}
 }
 
 // parseAuth turns the -auth flag value into an AuthTable. Each comma-
-// separated entry is "name=token[:maxcampaigns[:maxiters]]".
+// separated entry is "name=token[:maxcampaigns[:maxiters]]"; a quota is a
+// non-negative integer, and 0 (or an omitted field) means unlimited.
 func parseAuth(spec string) (*orchestrator.AuthTable, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var quotas []orchestrator.ClientQuota
+	var (
+		quotas []orchestrator.ClientQuota
+		err    error
+	)
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -266,25 +251,32 @@ func parseAuth(spec string) (*orchestrator.AuthTable, error) {
 			return nil, fmt.Errorf("bad -auth entry %q: want name=token[:maxcampaigns[:maxiters]]", entry)
 		}
 		parts := strings.Split(rest, ":")
-		q := orchestrator.ClientQuota{Name: name, Token: parts[0]}
-		if len(parts) > 1 && parts[1] != "" {
-			n, err := strconv.Atoi(parts[1])
-			if err != nil {
-				return nil, fmt.Errorf("bad -auth entry %q: maxcampaigns: %v", entry, err)
-			}
-			q.MaxCampaigns = n
-		}
-		if len(parts) > 2 && parts[2] != "" {
-			n, err := strconv.Atoi(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("bad -auth entry %q: maxiters: %v", entry, err)
-			}
-			q.MaxIters = n
-		}
 		if len(parts) > 3 {
 			return nil, fmt.Errorf("bad -auth entry %q: too many fields", entry)
+		}
+		parts = append(parts, "", "") // absent quota fields are empty
+		q := orchestrator.ClientQuota{Name: name, Token: parts[0]}
+		if q.MaxCampaigns, err = parseQuota(parts[1]); err != nil {
+			return nil, fmt.Errorf("bad -auth entry %q: maxcampaigns: %v", entry, err)
+		}
+		if q.MaxIters, err = parseQuota(parts[2]); err != nil {
+			return nil, fmt.Errorf("bad -auth entry %q: maxiters: %v", entry, err)
 		}
 		quotas = append(quotas, q)
 	}
 	return orchestrator.NewAuthTable(quotas)
+}
+
+// parseQuota reads one -auth quota field: empty means 0 (unlimited),
+// anything else must be a non-negative integer. A negative cap would
+// otherwise read as unlimited, silently lifting the limit it mistypes.
+func parseQuota(field string) (int, error) {
+	if field == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(field)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("want a non-negative integer, got %q", field)
+	}
+	return n, nil
 }

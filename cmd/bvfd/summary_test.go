@@ -23,10 +23,16 @@ func TestWriteCampaign(t *testing.T) {
 	st.CrashCount = 1
 	st.HarnessCrashes = []core.HarnessCrash{{Shard: 0, Iteration: 9, Value: "boom"}}
 	st.WatchdogTrips[core.WatchdogVerify] = 1
-	info := orchestrator.CampaignInfo{ID: "c1", State: "completed", Owner: "anonymous", Spec: orchestrator.CampaignSpec{Tool: "bvf"}, UnitsDone: 3, Units: 3}
+	cs := orchestrator.StatusResponse{
+		CampaignInfo: orchestrator.CampaignInfo{
+			ID: "c1", State: "completed", Owner: "anonymous",
+			Spec: orchestrator.CampaignSpec{Tool: "bvf", Units: 3}, UnitsDone: 3,
+		},
+		RefundedLeases: 2,
+	}
 
 	var b strings.Builder
-	writeCampaign(&b, info, 2, st)
+	writeCampaign(&b, cs, st)
 	out := b.String()
 	if m := regexp.MustCompile(`(?m)^\[(c\d)\] (\w+) `).FindStringSubmatch(out); m == nil || m[1] != "c1" || m[2] != "completed" {
 		t.Errorf("header = %v\n%s", m, out)
@@ -53,9 +59,49 @@ func TestWriteCampaign(t *testing.T) {
 
 	// A failed campaign prints its failure and no summary.
 	b.Reset()
-	info.Failure = "worker pool exhausted"
-	writeCampaign(&b, info, 0, st)
+	cs.Failure = "worker pool exhausted"
+	writeCampaign(&b, cs, st)
 	if out := b.String(); !strings.Contains(out, "  failure: worker pool exhausted\n") || strings.Contains(out, "iterations:") {
 		t.Errorf("failed campaign block:\n%s", out)
+	}
+}
+
+// TestParseAuth pins the -auth grammar: name=token[:maxcampaigns[:maxiters]]
+// with non-negative quotas, 0 or an omitted field meaning unlimited.
+func TestParseAuth(t *testing.T) {
+	accepted := []struct {
+		spec  string
+		token string
+		want  orchestrator.ClientQuota // zero Token: open access
+	}{
+		{"", "anything", orchestrator.ClientQuota{Name: "anonymous"}},
+		{"alice=tok-a", "tok-a", orchestrator.ClientQuota{Name: "alice", Token: "tok-a"}},
+		{"alice=s3cret:2:10000000", "s3cret", orchestrator.ClientQuota{Name: "alice", Token: "s3cret", MaxCampaigns: 2, MaxIters: 10000000}},
+		{"alice=s3cret::500, bob=b0b:1", "s3cret", orchestrator.ClientQuota{Name: "alice", Token: "s3cret", MaxIters: 500}},
+		{"alice=s3cret::500, bob=b0b:1", "b0b", orchestrator.ClientQuota{Name: "bob", Token: "b0b", MaxCampaigns: 1}},
+	}
+	for _, tc := range accepted {
+		tab, err := parseAuth(tc.spec)
+		if err != nil {
+			t.Errorf("parseAuth(%q): %v", tc.spec, err)
+			continue
+		}
+		if got, err := tab.Authorize(tc.token); err != nil || got != tc.want {
+			t.Errorf("parseAuth(%q).Authorize(%q) = (%+v, %v), want %+v", tc.spec, tc.token, got, err, tc.want)
+		}
+	}
+	for _, spec := range []string{
+		"alice",             // missing =
+		"alice=tok:two",     // non-numeric maxcampaigns
+		"alice=tok:2:lots",  // non-numeric maxiters
+		"alice=tok:-1",      // negative maxcampaigns
+		"alice=tok:2:-5",    // negative maxiters
+		"alice=tok:1:2:3",   // too many fields
+		"alice=",            // empty token
+		"alice=tok,bob=tok", // duplicate token
+	} {
+		if _, err := parseAuth(spec); err == nil {
+			t.Errorf("parseAuth(%q) accepted", spec)
+		}
 	}
 }

@@ -7,14 +7,13 @@ import (
 
 // Admission control errors. The server maps them onto HTTP statuses:
 // ErrUnauthorized → 401 (hard — retrying a bad token cannot succeed),
-// ErrQuotaExceeded and ErrOverloaded → 429 with a Retry-After hint the
-// client's backoff honors (both clear on their own: campaigns finish,
-// load subsides), ErrDraining → 503 (this process is going away; a
-// bounded retry fails fast and the caller resubmits elsewhere).
+// ErrQuotaExceeded → 429 with a Retry-After hint the client's backoff
+// honors (it clears on its own as the client's campaigns finish),
+// ErrDraining → 503 (this process is going away; a bounded retry fails
+// fast and the caller resubmits elsewhere).
 var (
 	ErrUnauthorized  = errors.New("orchestrator: unauthorized")
 	ErrQuotaExceeded = errors.New("orchestrator: client quota exceeded")
-	ErrOverloaded    = errors.New("orchestrator: coordinator overloaded")
 	ErrDraining      = errors.New("orchestrator: coordinator draining")
 	// ErrCampaignFault reports a recovered panic in one campaign's
 	// machinery. It maps to a 500 — transient from the caller's view: a

@@ -24,11 +24,9 @@ type Client struct {
 	// HTTP is the transport; nil selects a client with a 10s per-attempt
 	// timeout.
 	HTTP *http.Client
-	// Retry shapes the per-call retry schedule. Zero value selects
+	// Retry shapes the per-call retry schedule. NewClient selects
 	// 100ms..5s with 0.5 jitter seeded from the worker name.
 	Retry backoff.Policy
-	// Attempts bounds tries per call. Default 5.
-	Attempts int
 	// Sleep replaces time.Sleep between retries (tests stub it).
 	Sleep func(time.Duration)
 	// Logf, when non-nil, receives retry log lines.
@@ -48,13 +46,15 @@ func NewClient(baseURL, worker string) *Client {
 			Base: 100 * time.Millisecond, Max: 5 * time.Second,
 			Jitter: 0.5, Seed: int64(h.Sum64()),
 		},
-		Attempts: 5,
 	}
 }
 
+// callAttempts bounds the tries per control-plane call.
+const callAttempts = 5
+
 // transientError marks a failure worth retrying (network error, 5xx, or
-// a 429 shed). A 429's Retry-After header rides along as hint; the retry
-// loop stretches its backoff to honor it.
+// a 429 over-quota rejection). A 429's Retry-After header rides along as
+// hint; the retry loop stretches its backoff to honor it.
 type transientError struct {
 	err  error
 	hint time.Duration
@@ -128,13 +128,6 @@ func (c *Client) Drain(req DrainRequest) (DrainResponse, error) {
 	return resp, err
 }
 
-func (c *Client) attempts() int {
-	if c.Attempts <= 0 {
-		return 5
-	}
-	return c.Attempts
-}
-
 func (c *Client) http() *http.Client {
 	if c.HTTP == nil {
 		c.HTTP = &http.Client{Timeout: 10 * time.Second}
@@ -155,14 +148,14 @@ func (c *Client) call(path string, req, resp any) error {
 }
 
 // retry runs one attempt function under the client's backoff schedule.
-// Only *transientError (network failure, 5xx, 429 shed) is retried; a
+// Only *transientError (network failure, 5xx, 429) is retried; a
 // hard error — a protocol rejection — aborts immediately, because
 // retrying it can never succeed. A 429's Retry-After hint stretches the
 // next delay through Policy.DelayWithHint: the fleet still spreads over
 // the jitter envelope, but never comes back before the server asked.
 func (c *Client) retry(path string, attemptFn func() error) error {
 	var last *transientError
-	for n := 1; n <= c.attempts(); n++ {
+	for n := 1; n <= callAttempts; n++ {
 		err := attemptFn()
 		if err == nil {
 			return nil
@@ -172,7 +165,7 @@ func (c *Client) retry(path string, attemptFn func() error) error {
 			return err
 		}
 		last = te
-		if n == c.attempts() {
+		if n == callAttempts {
 			break
 		}
 		d := c.Retry.DelayWithHint(n, te.hint)
@@ -207,8 +200,9 @@ func (c *Client) attemptOnce(path string, body []byte, resp any) error {
 
 // decodeResponse maps an HTTP response onto the caller's struct. 5xx is
 // transient (retry); 429 is transient carrying the server's Retry-After
-// hint (shed load clears on its own — the right reaction is a longer
-// wait, not a failure); anything else non-200 is a hard protocol error.
+// hint (a client quota clears as its campaigns finish — the right
+// reaction is a longer wait, not a failure); anything else non-200 is a
+// hard protocol error.
 func decodeResponse(httpResp *http.Response, resp any) error {
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode == http.StatusTooManyRequests {
@@ -218,7 +212,7 @@ func decodeResponse(httpResp *http.Response, resp any) error {
 			hint = time.Duration(secs) * time.Second
 		}
 		return &transientError{
-			err:  fmt.Errorf("orchestrator: coordinator shed load (429): %s", bytes.TrimSpace(msg)),
+			err:  fmt.Errorf("orchestrator: coordinator asked to retry later (429): %s", bytes.TrimSpace(msg)),
 			hint: hint,
 		}
 	}

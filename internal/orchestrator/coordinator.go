@@ -67,8 +67,7 @@ type Coordinator struct {
 	version int64 // incarnation of this process generation
 	epoch   int64 // lease grants so far within this incarnation
 
-	units   []*unitEntry
-	workers map[string]*workerEntry
+	units []*unitEntry
 
 	// draining stops new lease grants while letting in-flight units
 	// heartbeat and submit: campaign-level drain (a stopped campaign) and
@@ -97,12 +96,6 @@ type unitEntry struct {
 	doneTok Token
 }
 
-type workerEntry struct {
-	name      string
-	lastSeen  time.Time
-	unitsDone int
-}
-
 // tableSnapshot is the checkpointed form of the lease table. Leases are
 // deliberately absent: a restored coordinator re-leases every non-done
 // unit under a new incarnation, and the fencing tokens make any still-
@@ -122,13 +115,7 @@ type tableSnapshot struct {
 // re-persisted before any lease is granted — so every lease from the
 // previous incarnation is fenced.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Spec.Units <= 0 {
-		return nil, errors.New("orchestrator: spec needs at least one unit")
-	}
-	if cfg.Spec.TotalIters <= 0 {
-		return nil, errors.New("orchestrator: spec needs a positive iteration budget")
-	}
-	if _, err := cfg.Spec.KernelVersion(); err != nil {
+	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.LeaseTTL <= 0 {
@@ -143,7 +130,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		version: 1,
-		workers: make(map[string]*workerEntry),
 		merged:  core.NewStats(cfg.Spec.Tool, mustVersion(cfg.Spec)),
 		done:    make(chan struct{}),
 	}
@@ -245,15 +231,6 @@ func (c *Coordinator) checkpointLocked() error {
 	return checkpoint.Save(c.cfg.CheckpointPath, &snap)
 }
 
-func (c *Coordinator) touchWorkerLocked(name string) {
-	w := c.workers[name]
-	if w == nil {
-		w = &workerEntry{name: name}
-		c.workers[name] = w
-	}
-	w.lastSeen = c.cfg.Now()
-}
-
 // Lease grants the lowest-ID pending unit, or tells the worker to wait
 // (all units leased), that the campaign is draining (no new grants), or
 // to exit (campaign done).
@@ -261,7 +238,6 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
-	c.touchWorkerLocked(req.Worker)
 	c.expireLocked(now)
 	var grant *unitEntry
 	allDone := true
@@ -338,7 +314,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
-	c.touchWorkerLocked(req.Worker)
 	c.expireLocked(now)
 	u := c.unitByID(req.UnitID)
 	if u == nil || u.state != unitLeased || u.tok != req.Token || u.worker != req.Worker {
@@ -357,7 +332,6 @@ func (c *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
-	c.touchWorkerLocked(req.Worker)
 	c.expireLocked(now)
 	u := c.unitByID(req.UnitID)
 	if u == nil {
@@ -386,9 +360,6 @@ func (c *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	u.doneTok = req.Token
 	u.worker = ""
 	u.iters = st.Iterations
-	if w := c.workers[req.Worker]; w != nil {
-		w.unitsDone++
-	}
 	c.mergeUnitLocked(u.def, st)
 	if err := c.checkpointLocked(); err != nil {
 		// Tolerated: see checkpointLocked. The unit stays done in memory;
@@ -475,22 +446,19 @@ func (c *Coordinator) Refunds() int {
 	return c.refunds
 }
 
-// Status snapshots the lease table for the status endpoint.
+// Status snapshots the lease table for the status endpoint: the
+// progress half of the campaign's row (Spec, Iterations, UnitsDone) and
+// the per-unit detail. The manager fills in the registry half.
 func (c *Coordinator) Status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
-	c.expireLocked(now)
+	c.expireLocked(c.cfg.Now())
 	resp := StatusResponse{
-		Spec:           c.cfg.Spec,
-		Iterations:     c.merged.Iterations,
+		CampaignInfo:   CampaignInfo{Spec: c.cfg.Spec, Iterations: c.merged.Iterations},
 		RefundedLeases: c.refunds,
 	}
-	resp.Done = true
 	for _, u := range c.units {
-		if u.state != unitDone {
-			resp.Done = false
-		} else {
+		if u.state == unitDone {
 			resp.UnitsDone++
 		}
 		us := UnitStatus{
@@ -501,19 +469,6 @@ func (c *Coordinator) Status() StatusResponse {
 			us.Token = u.tok
 		}
 		resp.Units = append(resp.Units, us)
-	}
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w := c.workers[name]
-		resp.Workers = append(resp.Workers, WorkerStatus{
-			Name:      name,
-			Live:      now.Sub(w.lastSeen) <= c.cfg.LeaseTTL,
-			UnitsDone: w.unitsDone,
-		})
 	}
 	for key := range c.merged.Bugs {
 		resp.Bugs = append(resp.Bugs, key.String())

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -29,22 +28,6 @@ type ManagerConfig struct {
 	PollInterval time.Duration
 	// Auth authenticates campaign submissions; nil means open access.
 	Auth *AuthTable
-	// MaxActive bounds concurrently Running campaigns; further
-	// admissions queue as Pending. 0 means unlimited.
-	MaxActive int
-	// MaxInflight bounds concurrent lease/submit calls before the server
-	// sheds load with 429 + Retry-After. 0 means unlimited. Enforced by
-	// the HTTP layer (NewServer), recorded here so manager and server
-	// share one config.
-	MaxInflight int
-	// MaxStrikes is how many recovered panics a campaign's machinery may
-	// take before the campaign transitions to Failed. Default 3: a
-	// one-off panic is contained and the caller retries; a persistent
-	// one trips the breaker instead of looping forever.
-	MaxStrikes int
-	// RetryAfter is the hint attached to 429 responses. Default
-	// PollInterval (and at least one second).
-	RetryAfter time.Duration
 	// ExitWhenIdle makes Lease answer StatusDone once every campaign is
 	// terminal (single-shot bvfd: workers exit with the campaign). A
 	// long-lived service leaves it false so idle workers keep polling
@@ -55,6 +38,17 @@ type ManagerConfig struct {
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
+
+// maxStrikes is how many recovered panics a campaign's machinery may take
+// before the campaign transitions to Failed: a one-off panic is contained
+// and the caller retries; a persistent one trips the breaker instead of
+// looping forever.
+const maxStrikes = 3
+
+// statePending is the admission-queue state older registries may hold.
+// Without an active-campaign cap every pending campaign was promoted at
+// once, so restore maps it to StateRunning.
+const statePending = "pending"
 
 // Manager owns the campaign registry and the lifecycle state machine.
 // Its mutex guards only the registry and states — never a coordinator
@@ -121,15 +115,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = cfg.LeaseTTL / 4
 	}
-	if cfg.MaxStrikes <= 0 {
-		cfg.MaxStrikes = 3
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = cfg.PollInterval
-		if cfg.RetryAfter < time.Second {
-			cfg.RetryAfter = time.Second
-		}
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -143,9 +128,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			return nil, err
 		}
 	}
-	m.mu.Lock()
-	m.scheduleLocked()
-	m.mu.Unlock()
 	m.sweep()
 	return m, nil
 }
@@ -168,6 +150,9 @@ func (m *Manager) restore() error {
 		c := &campaign{
 			id: rec.ID, owner: rec.Owner, spec: rec.Spec,
 			state: rec.State, stopped: rec.Stopped, failure: rec.Failure,
+		}
+		if c.state == statePending {
+			c.state = StateRunning
 		}
 		m.campaigns[c.id] = c
 		m.order = append(m.order, c.id)
@@ -262,26 +247,15 @@ func (m *Manager) checkpointLocked() {
 }
 
 // Submit admits a new campaign: authenticate, check quotas, build the
-// campaign machinery, persist the registry. The campaign starts Pending
-// and is promoted to Running by the scheduler.
+// campaign machinery, persist the registry. The campaign starts Running.
 func (m *Manager) Submit(req SubmitRequest) (SubmitResponse, error) {
 	client, err := m.cfg.Auth.Authorize(req.Token)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	// Validate the spec before touching any state (same checks the
-	// coordinator applies, surfaced as a 400 instead of a construction
-	// failure).
-	if req.Spec.Units <= 0 {
-		return SubmitResponse{}, errors.New("orchestrator: spec needs at least one unit")
-	}
-	if req.Spec.TotalIters <= 0 {
-		return SubmitResponse{}, errors.New("orchestrator: spec needs a positive iteration budget")
-	}
-	if _, err := req.Spec.KernelVersion(); err != nil {
-		return SubmitResponse{}, err
-	}
-	if _, _, _, err := baseline.SourceForTool(req.Spec.Tool, mustVersion(req.Spec)); err != nil {
+	// Validate the spec before touching any state (the coordinator's
+	// check, surfaced as a 400 instead of a construction failure).
+	if err := req.Spec.Validate(); err != nil {
 		return SubmitResponse{}, err
 	}
 	if client.MaxIters > 0 && req.Spec.TotalIters > client.MaxIters {
@@ -312,7 +286,7 @@ func (m *Manager) Submit(req SubmitRequest) (SubmitResponse, error) {
 		id:    fmt.Sprintf("c%d", m.nextID),
 		owner: client.Name,
 		spec:  req.Spec,
-		state: StatePending,
+		state: StateRunning,
 	}
 	if err := m.buildCampaign(c); err != nil {
 		m.nextID-- // nothing registered; the ID is reusable
@@ -320,7 +294,6 @@ func (m *Manager) Submit(req SubmitRequest) (SubmitResponse, error) {
 	}
 	m.campaigns[c.id] = c
 	m.order = append(m.order, c.id)
-	m.scheduleLocked()
 	m.checkpointLocked()
 	m.logf("campaign %s submitted by %s (%s, %d iterations, %d units) — %s",
 		c.id, c.owner, c.spec.Tool, c.spec.TotalIters, c.spec.Units, c.state)
@@ -331,30 +304,15 @@ func terminal(state string) bool {
 	return state == StateCompleted || state == StateFailed
 }
 
-// scheduleLocked promotes Pending campaigns to Running in submission
-// order while the active-campaign budget allows.
-func (m *Manager) scheduleLocked() {
-	if m.draining {
-		return
-	}
-	active := 0
+// activeLocked counts the non-terminal campaigns.
+func (m *Manager) activeLocked() int {
+	n := 0
 	for _, c := range m.campaigns {
-		if c.state == StateRunning || c.state == StateDraining {
-			active++
+		if !terminal(c.state) {
+			n++
 		}
 	}
-	for _, id := range m.order {
-		if m.cfg.MaxActive > 0 && active >= m.cfg.MaxActive {
-			return
-		}
-		c := m.campaigns[id]
-		if c.state != StatePending {
-			continue
-		}
-		c.state = StateRunning
-		active++
-		m.logf("campaign %s running", c.id)
-	}
+	return n
 }
 
 // sweepLocked advances campaigns whose completion is observable without
@@ -378,20 +336,10 @@ func (m *Manager) sweepLocked() {
 		}
 	}
 	if changed {
-		m.scheduleLocked()
 		m.checkpointLocked()
 	}
-	if m.cfg.ExitWhenIdle && len(m.order) > 0 {
-		idle := true
-		for _, c := range m.campaigns {
-			if !terminal(c.state) {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			m.doneOnce.Do(func() { close(m.done) })
-		}
+	if m.cfg.ExitWhenIdle && len(m.order) > 0 && m.activeLocked() == 0 {
+		m.doneOnce.Do(func() { close(m.done) })
 	}
 }
 
@@ -422,7 +370,6 @@ func (m *Manager) sweep() {
 		if c.state == StateDraining {
 			c.state = StateCompleted
 			m.logf("campaign %s completed after stop (partial)", c.id)
-			m.scheduleLocked()
 			m.checkpointLocked()
 			m.sweepLocked() // re-evaluate ExitWhenIdle
 		}
@@ -435,7 +382,7 @@ func (m *Manager) sweep() {
 func (m *Manager) Done() <-chan struct{} { return m.done }
 
 // guard runs one campaign operation behind the per-campaign fault point
-// and a panic barrier. A recovered panic is a strike; at MaxStrikes the
+// and a panic barrier. A recovered panic is a strike; at maxStrikes the
 // campaign transitions to Failed — its coordinator stops being routed
 // to, its evidence stays on disk — and every other campaign is
 // untouched. The error return surfaces as a 500, which clients retry
@@ -453,12 +400,11 @@ func (m *Manager) guard(c *campaign, op string, fn func()) (err error) {
 			return
 		}
 		c.strikes++
-		m.logf("campaign %s: %s panicked (strike %d/%d): %v", c.id, op, c.strikes, m.cfg.MaxStrikes, r)
-		if c.strikes >= m.cfg.MaxStrikes {
+		m.logf("campaign %s: %s panicked (strike %d/%d): %v", c.id, op, c.strikes, maxStrikes, r)
+		if c.strikes >= maxStrikes {
 			c.state = StateFailed
 			c.failure = fmt.Sprintf("%s panicked %d times, last: %v", op, c.strikes, r)
 			m.logf("campaign %s FAILED (evidence preserved in %s): %s", c.id, m.campaignDir(c.id), c.failure)
-			m.scheduleLocked()
 			m.checkpointLocked()
 		}
 	}()
@@ -480,12 +426,7 @@ func (m *Manager) Register(req RegisterRequest) RegisterResponse {
 		m.nextWorker++
 		name = fmt.Sprintf("worker-%d", m.nextWorker)
 	}
-	live := 0
-	for _, c := range m.campaigns {
-		if !terminal(c.state) {
-			live++
-		}
-	}
+	live := m.activeLocked()
 	m.logf("worker %s registered (%d active campaign(s))", name, live)
 	return RegisterResponse{Worker: name, Campaigns: live}
 }
@@ -521,7 +462,7 @@ func (m *Manager) Lease(req LeaseRequest) LeaseResponse {
 			}
 		}
 	}
-	anyLeft := m.anyNonTerminalLocked()
+	anyLeft := m.activeLocked() > 0
 	m.mu.Unlock()
 
 	for _, c := range candidates {
@@ -543,7 +484,7 @@ func (m *Manager) Lease(req LeaseRequest) LeaseResponse {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sweepLocked()
-	if m.anyNonTerminalLocked() || anyLeft && !m.cfg.ExitWhenIdle {
+	if m.activeLocked() > 0 || anyLeft && !m.cfg.ExitWhenIdle {
 		return LeaseResponse{Status: StatusWait, PollMillis: m.cfg.PollInterval.Milliseconds()}
 	}
 	if m.cfg.ExitWhenIdle && len(m.order) > 0 {
@@ -552,15 +493,6 @@ func (m *Manager) Lease(req LeaseRequest) LeaseResponse {
 	// A service with no work idles its workers instead of dismissing
 	// them: the next submission puts them back to work.
 	return LeaseResponse{Status: StatusWait, PollMillis: m.cfg.PollInterval.Milliseconds()}
-}
-
-func (m *Manager) anyNonTerminalLocked() bool {
-	for _, c := range m.campaigns {
-		if !terminal(c.state) {
-			return true
-		}
-	}
-	return false
 }
 
 // Heartbeat routes a lease keep-alive to its campaign. Unknown or
@@ -602,17 +534,16 @@ func (m *Manager) liveCampaign(id string) *campaign {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.campaigns[id]
-	if c == nil || c.coord == nil || terminal(c.state) || c.state == StatePending {
+	if c == nil || c.coord == nil || terminal(c.state) {
 		return nil
 	}
 	return c
 }
 
 // Stop transitions a campaign toward Completed without waiting for its
-// remaining units: Pending stops immediately, Running drains (in-flight
-// units finish or expire, then the sweep completes it with partial
-// results). Only the owning client (or anyone, with auth disabled) may
-// stop a campaign.
+// remaining units: a Running campaign drains (in-flight units finish or
+// expire, then the sweep completes it with partial results). Only the
+// owning client (or anyone, with auth disabled) may stop a campaign.
 func (m *Manager) Stop(req StopRequest) (StopResponse, error) {
 	client, err := m.cfg.Auth.Authorize(req.Token)
 	if err != nil {
@@ -628,14 +559,7 @@ func (m *Manager) Stop(req StopRequest) (StopResponse, error) {
 		m.mu.Unlock()
 		return StopResponse{}, fmt.Errorf("%w: campaign %s belongs to %s", ErrUnauthorized, c.id, c.owner)
 	}
-	switch c.state {
-	case StatePending:
-		c.state = StateCompleted
-		c.stopped = true
-		m.logf("campaign %s stopped before start", c.id)
-		m.scheduleLocked()
-		m.checkpointLocked()
-	case StateRunning:
+	if c.state == StateRunning {
 		c.state = StateDraining
 		c.stopped = true
 		if c.coord != nil {
@@ -659,34 +583,17 @@ func (m *Manager) Stop(req StopRequest) (StopResponse, error) {
 func (m *Manager) Drain() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	n := m.activeLocked()
 	if !m.draining {
 		m.draining = true
-		n := 0
 		for _, c := range m.campaigns {
-			if !terminal(c.state) {
-				n++
-			}
 			if c.coord != nil && !terminal(c.state) {
 				c.coord.SetDraining(true)
 			}
 		}
 		m.logf("draining: %d active campaign(s), waiting for in-flight units", n)
-		return n
-	}
-	n := 0
-	for _, c := range m.campaigns {
-		if !terminal(c.state) {
-			n++
-		}
 	}
 	return n
-}
-
-// Draining reports whether a coordinator-wide drain is in progress.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
 }
 
 // Quiesced reports whether every in-flight lease has resolved
@@ -733,11 +640,9 @@ func (m *Manager) CheckpointAll() {
 	m.mu.Unlock()
 }
 
-// List enumerates campaigns in submission order.
-func (m *Manager) List(req ListRequest) (ListResponse, error) {
-	if _, err := m.cfg.Auth.Authorize(req.Token); err != nil {
-		return ListResponse{}, err
-	}
+// List enumerates campaigns in submission order. Any listed token may
+// list (the HTTP layer checks it); in-process callers need none.
+func (m *Manager) List() ListResponse {
 	m.sweep()
 	m.mu.Lock()
 	resp := ListResponse{Draining: m.draining}
@@ -747,19 +652,25 @@ func (m *Manager) List(req ListRequest) (ListResponse, error) {
 	}
 	m.mu.Unlock()
 	for _, c := range rows {
-		info := CampaignInfo{
-			ID: c.id, Owner: c.owner, State: c.state,
-			Stopped: c.stopped, Failure: c.failure,
-			Spec: c.spec, Units: c.spec.Units,
-		}
-		if c.coord != nil {
-			st := c.coord.Status()
-			info.Iterations = st.Iterations
-			info.UnitsDone = st.UnitsDone
-		}
-		resp.Campaigns = append(resp.Campaigns, info)
+		resp.Campaigns = append(resp.Campaigns, m.status(c).CampaignInfo)
 	}
-	return resp, nil
+	return resp
+}
+
+// status is the one view of a campaign: the coordinator's lease-table
+// snapshot (the progress half, taken under the coordinator's lock), then
+// the registry half, taken under the manager lock because the lifecycle
+// fields change under it. The two locks are never held together.
+func (m *Manager) status(c *campaign) StatusResponse {
+	st := StatusResponse{CampaignInfo: CampaignInfo{Spec: c.spec}}
+	if c.coord != nil {
+		st = c.coord.Status()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st.ID, st.Owner, st.State = c.id, c.owner, c.state
+	st.Stopped, st.Failure = c.stopped, c.failure
+	return st
 }
 
 // Status snapshots one campaign's lease table. An empty Campaign
@@ -780,15 +691,7 @@ func (m *Manager) Status(req StatusRequest) (StatusResponse, error) {
 	if c == nil {
 		return StatusResponse{}, fmt.Errorf("orchestrator: no campaign %q", id)
 	}
-	if c.coord == nil {
-		return StatusResponse{Campaign: c.id, State: c.state, Spec: c.spec}, nil
-	}
-	st := c.coord.Status()
-	st.Campaign = c.id
-	m.mu.Lock()
-	st.State = c.state
-	m.mu.Unlock()
-	return st, nil
+	return m.status(c), nil
 }
 
 // MergedStats returns a campaign's merged statistics (read-only), or
@@ -829,22 +732,6 @@ func (m *Manager) Refunds() int {
 	}
 	return n
 }
-
-// CampaignState returns a campaign's lifecycle state ("" if unknown).
-func (m *Manager) CampaignState(id string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c := m.campaigns[id]; c != nil {
-		return c.state
-	}
-	return ""
-}
-
-// RetryAfterHint is the backoff hint the server attaches to shed load.
-func (m *Manager) RetryAfterHint() time.Duration { return m.cfg.RetryAfter }
-
-// MaxInflight exposes the shedding threshold to the HTTP layer.
-func (m *Manager) MaxInflight() int { return m.cfg.MaxInflight }
 
 func (m *Manager) logf(format string, args ...any) {
 	if m.cfg.Logf != nil {

@@ -80,6 +80,16 @@ func assertEquivalent(t *testing.T, label string, got, want *core.Stats) {
 	}
 }
 
+// stateOf reads a campaign's lifecycle state through Status.
+func stateOf(t *testing.T, m *Manager, id string) string {
+	t.Helper()
+	st, err := m.Status(StatusRequest{Campaign: id})
+	if err != nil {
+		t.Fatalf("status %s: %v", id, err)
+	}
+	return st.State
+}
+
 // driveManager plays a worker against the manager in-process until it is
 // dismissed, executing every granted unit faithfully.
 func driveManager(t *testing.T, m *Manager, worker string) {
@@ -174,7 +184,7 @@ func TestTwoCampaignChaosEquivalence(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	for _, id := range ids {
-		if got := m2.CampaignState(id); got != StateRunning {
+		if got := stateOf(t, m2, id); got != StateRunning {
 			t.Fatalf("campaign %s restored as %q, want running", id, got)
 		}
 	}
@@ -210,7 +220,7 @@ func TestTwoCampaignChaosEquivalence(t *testing.T) {
 
 	for i, ref := range []*core.Stats{ref1, ref2} {
 		id := ids[i]
-		if got := m2.CampaignState(id); got != StateCompleted {
+		if got := stateOf(t, m2, id); got != StateCompleted {
 			t.Errorf("campaign %s = %q, want completed", id, got)
 		}
 		assertEquivalent(t, id, m2.MergedStats(id), ref)
@@ -238,19 +248,16 @@ func TestCampaignFailureIsolation(t *testing.T) {
 	faultinject.Arm("orch.campaign."+ids[0], faultinject.Fault{Kind: faultinject.Panic, Every: 1})
 	driveManager(t, m, "w1")
 
-	if got := m.CampaignState(ids[0]); got != StateFailed {
+	if got := stateOf(t, m, ids[0]); got != StateFailed {
 		t.Fatalf("panicking campaign = %q, want failed", got)
 	}
-	if got := m.CampaignState(ids[1]); got != StateCompleted {
+	if got := stateOf(t, m, ids[1]); got != StateCompleted {
 		t.Fatalf("healthy campaign = %q, want completed", got)
 	}
 	if got, want := m.MergedStats(ids[1]).Iterations, spec2.TotalIters; got != want {
 		t.Fatalf("healthy campaign iterations = %d, want %d", got, want)
 	}
-	lst, err := m.List(ListRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lst := m.List()
 	for _, info := range lst.Campaigns {
 		if info.ID == ids[0] && info.Failure == "" {
 			t.Error("failed campaign has no recorded failure reason")
@@ -271,10 +278,10 @@ func TestCampaignFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if got := m2.CampaignState(ids[0]); got != StateFailed {
+	if got := stateOf(t, m2, ids[0]); got != StateFailed {
 		t.Errorf("failed campaign restored as %q", got)
 	}
-	if got := m2.CampaignState(ids[1]); got != StateCompleted {
+	if got := stateOf(t, m2, ids[1]); got != StateCompleted {
 		t.Errorf("completed campaign restored as %q", got)
 	}
 	if !checkpoint.Exists(filepath.Join(dir, ids[0], "leases.ckpt")) {
@@ -324,7 +331,7 @@ func TestStopCompletesWithPartialResults(t *testing.T) {
 	if err != nil || rr.Status != StatusAccepted {
 		t.Fatalf("in-flight result after stop = (%q, %v), want accepted", rr.Status, err)
 	}
-	if got := m.CampaignState(ids[0]); got != StateCompleted {
+	if got := stateOf(t, m, ids[0]); got != StateCompleted {
 		t.Fatalf("stopped campaign = %q, want completed", got)
 	}
 	if got, want := m.MergedStats(ids[0]).Iterations, lr1.Unit.Quota+lr2.Unit.Quota; got != want {
@@ -358,8 +365,8 @@ func TestGracefulDrainCheckpointsAndResumes(t *testing.T) {
 	if n := m.Drain(); n != 1 {
 		t.Fatalf("Drain() = %d campaigns, want 1", n)
 	}
-	if !m.Draining() {
-		t.Fatal("not draining after Drain")
+	if !m.List().Draining {
+		t.Fatal("List does not report the drain")
 	}
 	if lr := m.Lease(LeaseRequest{Worker: "w2"}); lr.Status != StatusDrain {
 		t.Fatalf("lease during drain = %q, want drain", lr.Status)
@@ -383,7 +390,7 @@ func TestGracefulDrainCheckpointsAndResumes(t *testing.T) {
 		t.Fatal("not quiesced after the only lease resolved")
 	}
 	m.CheckpointAll()
-	if got := m.CampaignState(ids[0]); got != StateRunning {
+	if got := stateOf(t, m, ids[0]); got != StateRunning {
 		t.Fatalf("drained campaign persisted as %q, want running (drain is not stop)", got)
 	}
 
@@ -396,10 +403,10 @@ func TestGracefulDrainCheckpointsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if m2.Draining() {
+	if m2.List().Draining {
 		t.Error("drain flag leaked across restart")
 	}
-	if got := m2.CampaignState(ids[0]); got != StateRunning {
+	if got := stateOf(t, m2, ids[0]); got != StateRunning {
 		t.Fatalf("campaign restored as %q, want running", got)
 	}
 	if got, want := m2.MergedStats(ids[0]).Iterations, lr.Unit.Quota; got != want {
@@ -414,7 +421,7 @@ func TestGracefulDrainCheckpointsAndResumes(t *testing.T) {
 	if got, want := m2.MergedStats(ids[0]).Iterations, testSpec().TotalIters; got != want {
 		t.Errorf("final iterations = %d, want %d", got, want)
 	}
-	if got := m2.CampaignState(ids[0]); got != StateCompleted {
+	if got := stateOf(t, m2, ids[0]); got != StateCompleted {
 		t.Errorf("campaign = %q, want completed", got)
 	}
 }
@@ -468,13 +475,38 @@ func TestAdmissionControlOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second concurrent campaign: over quota, shed with a backoff hint.
+	// Second concurrent campaign: over quota, 429 with a backoff hint —
+	// the poll interval, a quarter of the default 15s TTL, in whole
+	// seconds.
 	resp = post(PathSubmit, SubmitRequest{Token: "tok-alice", Spec: spec})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
+	ra := resp.Header.Get("Retry-After")
+	if ra == "" || ra == "0" {
 		t.Fatalf("429 Retry-After = %q, want a positive hint", ra)
+	}
+	if ra != "3" {
+		t.Fatalf("429 Retry-After = %q, want %q (PollInterval 3.75s)", ra, "3")
+	}
+
+	// The client-side contract: a 429'd call backs off by the server's
+	// hint (which dominates the exponential schedule) before every
+	// retry, then surfaces the rejection.
+	var slept []time.Duration
+	alice := NewClient(srv.URL, "alice-cli")
+	alice.Retry = backoff.Policy{Base: 50 * time.Millisecond, Max: 10 * time.Second, Jitter: 0}
+	alice.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	if _, err := alice.Submit(SubmitRequest{Token: "tok-alice", Spec: spec}); err == nil {
+		t.Fatal("over-quota submit through the client succeeded")
+	}
+	if len(slept) != callAttempts-1 {
+		t.Fatalf("client backed off %d times, want %d", len(slept), callAttempts-1)
+	}
+	for i, d := range slept {
+		if d != 3*time.Second {
+			t.Errorf("backoff %d = %v, want the server's Retry-After %ss", i, d, ra)
+		}
 	}
 
 	if resp := post(PathStop, StopRequest{Token: "tok-bob", ID: sub.ID}); resp.StatusCode != http.StatusUnauthorized {
@@ -506,85 +538,10 @@ func TestAdmissionControlOverHTTP(t *testing.T) {
 			t.Errorf("campaign %s owner = %q, want alice", info.ID, info.Owner)
 		}
 	}
-}
-
-// TestOverloadSheddingWithRetryAfter: with the in-flight cap at one, a
-// lease call stalled inside campaign machinery makes concurrent leases
-// shed with 429 + Retry-After; the client's backoff honors the hint
-// exactly (jitter off). The episode must cost nothing: the campaign
-// still completes with its exact iteration budget — no duplicate
-// commits, no failure.
-func TestOverloadSheddingWithRetryAfter(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	spec := testSpec()
-	m, ids := newTestManager(t, ManagerConfig{
-		MaxInflight: 1, RetryAfter: 2 * time.Second,
-		LeaseTTL: time.Second, PollInterval: 25 * time.Millisecond,
-	}, spec)
-	srv := httptest.NewServer(NewServer(m))
-	defer srv.Close()
-
-	// Blockade: the first lease call sleeps inside the campaign's fault
-	// point, holding the single in-flight slot for 400ms.
-	faultinject.Arm("orch.campaign."+ids[0], faultinject.Fault{
-		Kind: faultinject.Delay, Delay: 400 * time.Millisecond, OnHit: 1,
-	})
-	blockade := make(chan struct{})
-	go func() {
-		defer close(blockade)
-		b, _ := json.Marshal(LeaseRequest{Worker: "blocker"})
-		if resp, err := http.Post(srv.URL+PathLease, "application/json", bytes.NewReader(b)); err == nil {
-			resp.Body.Close()
-		}
-	}()
-	time.Sleep(150 * time.Millisecond)
-
-	// A raw concurrent lease is shed, not queued.
-	b, _ := json.Marshal(LeaseRequest{Worker: "w2"})
-	resp, err := http.Post(srv.URL+PathLease, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("lease under load = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want %q", ra, "2")
-	}
-
-	// The client-side contract: a 429'd call backs off by the server's
-	// hint (which dominates the exponential schedule), then succeeds
-	// once the blockade lifts.
-	var slept []time.Duration
-	cl := NewClient(srv.URL, "w3")
-	cl.Retry = backoff.Policy{Base: 50 * time.Millisecond, Max: 10 * time.Second, Jitter: 0}
-	cl.Sleep = func(d time.Duration) {
-		slept = append(slept, d)
-		time.Sleep(100 * time.Millisecond)
-	}
-	if _, err := cl.Lease(LeaseRequest{Worker: "w3"}); err != nil {
-		t.Fatalf("lease after shed: %v", err)
-	}
-	if len(slept) == 0 {
-		t.Fatal("client was never shed")
-	}
-	for i, d := range slept {
-		if d != 2*time.Second {
-			t.Errorf("shed backoff %d = %v, want the server's 2s hint", i, d)
-		}
-	}
-	<-blockade
-
-	// Zero cost: the abandoned leases expire, and the campaign finishes
-	// its exact budget — proving no unit was committed twice.
-	faultinject.Reset()
-	driveManager(t, m, "w9")
-	if got, want := m.MergedStats(ids[0]).Iterations, spec.TotalIters; got != want {
-		t.Errorf("iterations = %d, want exactly %d (duplicate commit?)", got, want)
-	}
-	if got := m.CampaignState(ids[0]); got != StateCompleted {
-		t.Errorf("campaign = %q, want completed (overload must never fail a campaign)", got)
+	// The token gate is the HTTP layer's: bvfd's own summaries list
+	// in-process without one.
+	if got := len(m.List().Campaigns); got != 2 {
+		t.Errorf("in-process List = %d campaigns, want 2", got)
 	}
 }
 
@@ -620,13 +577,10 @@ func TestRestartIsolatesCorruptCampaignState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart with one corrupt campaign: %v", err)
 	}
-	if got := m2.CampaignState(ids[0]); got != StateFailed {
+	if got := stateOf(t, m2, ids[0]); got != StateFailed {
 		t.Fatalf("corrupt campaign = %q, want failed", got)
 	}
-	lst, err := m2.List(ListRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lst := m2.List()
 	for _, info := range lst.Campaigns {
 		if info.ID == ids[0] && info.Failure == "" {
 			t.Error("corrupt campaign has no recorded failure reason")
@@ -638,7 +592,7 @@ func TestRestartIsolatesCorruptCampaignState(t *testing.T) {
 
 	// The neighbor is untouched: it restores and runs to completion.
 	driveManager(t, m2, "w2")
-	if got := m2.CampaignState(ids[1]); got != StateCompleted {
+	if got := stateOf(t, m2, ids[1]); got != StateCompleted {
 		t.Fatalf("healthy campaign = %q, want completed", got)
 	}
 	if got, want := m2.MergedStats(ids[1]).Iterations, spec2.TotalIters; got != want {
@@ -668,7 +622,102 @@ func TestCampaignSurvivesCheckpointWriteFaults(t *testing.T) {
 	if got, want := m.MergedStats(ids[0]).Iterations, spec.TotalIters; got != want {
 		t.Errorf("iterations = %d, want %d", got, want)
 	}
-	if got := m.CampaignState(ids[0]); got != StateCompleted {
+	if got := stateOf(t, m, ids[0]); got != StateCompleted {
 		t.Errorf("campaign = %q, want completed despite a full disk", got)
+	}
+}
+
+// TestListWhileCampaignCompletes polls List while a worker drives a
+// campaign to completion. The lifecycle fields List reports change under
+// the manager lock (the sweep completes the campaign), so List must read
+// them under it too; run under -race this catches an unlocked read.
+func TestListWhileCampaignCompletes(t *testing.T) {
+	m, ids := newTestManager(t, ManagerConfig{}, testSpec())
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.List()
+		}
+	}()
+	driveManager(t, m, "w1")
+	close(stop)
+	<-polled
+	lst := m.List()
+	if info := lst.Campaigns[0]; info.State != StateCompleted || info.UnitsDone != info.Spec.Units {
+		t.Errorf("campaign %s listed as %s with %d/%d units, want completed with all units",
+			ids[0], info.State, info.UnitsDone, info.Spec.Units)
+	}
+}
+
+// TestRestorePendingCampaignRuns: a registry checkpoint written when
+// admission could queue campaigns may hold a "pending" record. It
+// resumes as running and completes its whole budget.
+func TestRestorePendingCampaignRuns(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec()
+	snap := managerSnapshot{NextID: 1, Campaigns: []campaignRecord{
+		{ID: "c1", Owner: "anonymous", Spec: spec, State: statePending},
+	}}
+	if err := checkpoint.Save(filepath.Join(dir, managerCheckpointFile), &snap); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ManagerConfig{StateDir: dir, ExitWhenIdle: true})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got := stateOf(t, m, "c1"); got != StateRunning {
+		t.Fatalf("pending record restored as %q, want running", got)
+	}
+	driveManager(t, m, "w1")
+	if got := stateOf(t, m, "c1"); got != StateCompleted {
+		t.Errorf("campaign = %q, want completed", got)
+	}
+	if got, want := m.MergedStats("c1").Iterations, spec.TotalIters; got != want {
+		t.Errorf("iterations = %d, want %d", got, want)
+	}
+}
+
+// TestSpecUnitBound: a spec asking for more than maxUnits units is a
+// hard 400 that registers nothing and consumes no campaign ID, and
+// NewCoordinator refuses it too — the lease table is never allocated.
+func TestSpecUnitBound(t *testing.T) {
+	m, _ := newTestManager(t, ManagerConfig{})
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+
+	huge := testSpec()
+	huge.Units = maxUnits + 1
+	b, err := json.Marshal(SubmitRequest{Spec: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+PathSubmit, "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized unit count = %d, want hard 400", resp.StatusCode)
+	}
+	lst := m.List()
+	if len(lst.Campaigns) != 0 || m.nextID != 0 {
+		t.Fatalf("rejected spec left %d campaign(s), nextID %d", len(lst.Campaigns), m.nextID)
+	}
+	if _, err := NewCoordinator(CoordinatorConfig{Spec: huge}); err == nil {
+		t.Error("NewCoordinator accepted an oversized unit count")
+	}
+
+	// The bound is inclusive.
+	most := testSpec()
+	most.Units = maxUnits
+	if sub, err := m.Submit(SubmitRequest{Spec: most}); err != nil || sub.ID != "c1" {
+		t.Fatalf("submit at the bound = (%q, %v), want c1", sub.ID, err)
 	}
 }

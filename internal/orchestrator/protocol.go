@@ -7,9 +7,8 @@
 // Campaigns are submitted, listed, inspected, stopped, and drained over
 // the same control plane, each with its own lease table, iteration
 // axis, and crash-consistent findings store, driven by an explicit
-// lifecycle state machine (Pending → Running → Draining →
-// Completed/Failed) that is checkpointed and restored across
-// coordinator restarts.
+// lifecycle state machine (Running → Draining → Completed/Failed) that
+// is checkpointed and restored across coordinator restarts.
 //
 // The robustness model is the PR 2 shard supervisor promoted from
 // goroutines to processes:
@@ -38,8 +37,10 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/kernel"
 )
@@ -76,6 +77,33 @@ type CampaignSpec struct {
 // KernelVersion parses the spec's Version field.
 func (s CampaignSpec) KernelVersion() (kernel.Version, error) {
 	return kernel.ParseVersion(s.Version)
+}
+
+// maxUnits bounds a spec's unit count. The lease table holds one entry
+// per unit, is allocated on the submit path and is scanned under the
+// coordinator mutex on every lease, heartbeat and result, so an
+// unbounded count lets one request exhaust the daemon's memory.
+const maxUnits = 4096
+
+// Validate checks a spec before any campaign state is built from it:
+// a unit count in [1, maxUnits], a positive budget, a known kernel
+// version and a known tool.
+func (s CampaignSpec) Validate() error {
+	if s.Units <= 0 {
+		return errors.New("orchestrator: spec needs at least one unit")
+	}
+	if s.Units > maxUnits {
+		return fmt.Errorf("orchestrator: spec asks for %d units, at most %d are allowed", s.Units, maxUnits)
+	}
+	if s.TotalIters <= 0 {
+		return errors.New("orchestrator: spec needs a positive iteration budget")
+	}
+	kv, err := s.KernelVersion()
+	if err != nil {
+		return err
+	}
+	_, _, _, err = baseline.SourceForTool(s.Tool, kv)
+	return err
 }
 
 // Unit is one leased work unit: a seed (the campaign base seed plus the
@@ -125,11 +153,9 @@ const (
 )
 
 // Campaign lifecycle states. The state machine is
-// Pending → Running → Draining → Completed/Failed:
+// Running → Draining → Completed/Failed:
 //
-//   - Pending: admitted but not yet lease-eligible (the manager bounds
-//     how many campaigns run concurrently).
-//   - Running: units are leased to workers.
+//   - Running: admitted; units are leased to workers.
 //   - Draining: no new leases; in-flight units complete or expire.
 //   - Completed: every unit done, or a stopped campaign's in-flight
 //     units resolved (partial results, Stopped=true).
@@ -138,7 +164,6 @@ const (
 //     (findings store, last checkpoint) is preserved on disk and every
 //     other campaign keeps leasing.
 const (
-	StatePending   = "pending"
 	StateRunning   = "running"
 	StateDraining  = "draining"
 	StateCompleted = "completed"
@@ -231,18 +256,13 @@ type StatusRequest struct {
 	Campaign string
 }
 
-// StatusResponse is one campaign's observable state: the e2e harness
-// polls it to find a mid-lease victim, operators read it as a dashboard.
+// StatusResponse is one campaign's observable state: its registry row
+// plus the lease-table detail. The e2e harness polls it to find a
+// mid-lease victim, operators read it as a dashboard.
 type StatusResponse struct {
-	Campaign       string
-	State          string // lifecycle state (StatePending..StateFailed)
-	Spec           CampaignSpec
-	Done           bool
-	Iterations     int // merged iterations from completed units
+	CampaignInfo
 	RefundedLeases int // expired leases whose quota went back to pending
-	UnitsDone      int
 	Units          []UnitStatus
-	Workers        []WorkerStatus
 	Bugs           []string // sorted BugKey strings of the merged stats
 	DamagedStore   []string // corrupt finding files the registry skipped
 }
@@ -273,11 +293,13 @@ type ListResponse struct {
 	Campaigns []CampaignInfo
 }
 
-// CampaignInfo is one campaign's registry row.
+// CampaignInfo is one campaign's registry row. The manager fills the
+// registry half (ID through Failure), the campaign's coordinator the
+// progress half (Spec through UnitsDone).
 type CampaignInfo struct {
 	ID    string
 	Owner string // authenticated client that submitted it
-	State string
+	State string // lifecycle state (StateRunning..StateFailed)
 	// Stopped marks a campaign that was stopped by request; a stopped
 	// campaign Completes with partial results once its in-flight units
 	// resolve.
@@ -285,9 +307,8 @@ type CampaignInfo struct {
 	// Failure is the reason a Failed campaign failed.
 	Failure    string
 	Spec       CampaignSpec
-	Iterations int // merged so far
+	Iterations int // merged iterations from completed units
 	UnitsDone  int
-	Units      int
 }
 
 // StopRequest asks the coordinator to stop a campaign: no new leases,
@@ -327,14 +348,6 @@ type UnitStatus struct {
 	Token  Token
 	// Iters is the latest heartbeat progress for leased units.
 	Iters int
-}
-
-// WorkerStatus is one registered worker's liveness row.
-type WorkerStatus struct {
-	Name string
-	// Live is true while the worker has called in within one lease TTL.
-	Live      bool
-	UnitsDone int
 }
 
 // EncodeStats gob-encodes a unit campaign's statistics for a

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/faultinject"
 )
@@ -32,20 +31,16 @@ const (
 // Admission errors map onto HTTP statuses the client understands:
 //
 //	401 bad token            hard — a new token is needed, not a retry
-//	429 quota / overload     transient — Retry-After carries the backoff
+//	429 client quota         transient — Retry-After carries the backoff
 //	                         hint the client's jittered schedule honors
 //	503 draining             transient — this process is going away; the
 //	                         bounded retry fails fast
 //	400 anything else        hard — bad spec, unknown campaign, ...
 //
-// The lease and submit paths sit behind an in-flight cap
-// (ManagerConfig.MaxInflight): past it, the coordinator sheds load with
-// 429 + Retry-After instead of queueing unboundedly. Heartbeats and
-// results are never shed — dropping them would expire live leases and
-// turn an overload blip into wasted re-execution.
+// The Retry-After hint is the manager's poll interval in whole seconds,
+// at least one.
 func NewServer(m *Manager) http.Handler {
-	shed := newShedder(m.MaxInflight())
-	retryAfter := m.RetryAfterHint()
+	retryAfter := strconv.Itoa(max(1, int(m.cfg.PollInterval.Seconds())))
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathRegister, func(w http.ResponseWriter, r *http.Request) {
 		handle(w, r, retryAfter, func(req RegisterRequest) (RegisterResponse, error) {
@@ -54,10 +49,6 @@ func NewServer(m *Manager) http.Handler {
 	})
 	mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) {
 		handle(w, r, retryAfter, func(req LeaseRequest) (LeaseResponse, error) {
-			if !shed.acquire() {
-				return LeaseResponse{}, ErrOverloaded
-			}
-			defer shed.release()
 			return m.Lease(req), nil
 		})
 	})
@@ -73,16 +64,15 @@ func NewServer(m *Manager) http.Handler {
 		handle(w, r, retryAfter, m.Status)
 	})
 	mux.HandleFunc(PathSubmit, func(w http.ResponseWriter, r *http.Request) {
-		handle(w, r, retryAfter, func(req SubmitRequest) (SubmitResponse, error) {
-			if !shed.acquire() {
-				return SubmitResponse{}, ErrOverloaded
-			}
-			defer shed.release()
-			return m.Submit(req)
-		})
+		handle(w, r, retryAfter, m.Submit)
 	})
 	mux.HandleFunc(PathList, func(w http.ResponseWriter, r *http.Request) {
-		handle(w, r, retryAfter, m.List)
+		handle(w, r, retryAfter, func(req ListRequest) (ListResponse, error) {
+			if _, err := m.cfg.Auth.Authorize(req.Token); err != nil {
+				return ListResponse{}, err
+			}
+			return m.List(), nil
+		})
 	})
 	mux.HandleFunc(PathStop, func(w http.ResponseWriter, r *http.Request) {
 		handle(w, r, retryAfter, m.Stop)
@@ -98,39 +88,10 @@ func NewServer(m *Manager) http.Handler {
 	return mux
 }
 
-// shedder is the concurrent-request cap behind the shed-load paths. A
-// nil shedder (cap 0) admits everything.
-type shedder struct{ slots chan struct{} }
-
-func newShedder(max int) *shedder {
-	if max <= 0 {
-		return nil
-	}
-	return &shedder{slots: make(chan struct{}, max)}
-}
-
-func (s *shedder) acquire() bool {
-	if s == nil {
-		return true
-	}
-	select {
-	case s.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *shedder) release() {
-	if s != nil {
-		<-s.slots
-	}
-}
-
 // handle decodes a JSON request body, runs fn, and encodes the response.
 // Handler errors map to HTTP statuses via httpStatusFor; 429s carry the
-// manager's Retry-After hint.
-func handle[Req, Resp any](w http.ResponseWriter, r *http.Request, retryAfter time.Duration, fn func(Req) (Resp, error)) {
+// Retry-After hint (in seconds).
+func handle[Req, Resp any](w http.ResponseWriter, r *http.Request, retryAfter string, fn func(Req) (Resp, error)) {
 	if err := faultinject.FireErr("orch.server"); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -148,11 +109,7 @@ func handle[Req, Resp any](w http.ResponseWriter, r *http.Request, retryAfter ti
 	if err != nil {
 		status := httpStatusFor(err)
 		if status == http.StatusTooManyRequests {
-			secs := int(retryAfter.Seconds())
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", retryAfter)
 		}
 		http.Error(w, err.Error(), status)
 		return
@@ -167,7 +124,7 @@ func httpStatusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrUnauthorized):
 		return http.StatusUnauthorized
-	case errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrQuotaExceeded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
