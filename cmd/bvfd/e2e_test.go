@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -513,5 +514,134 @@ func TestE2EDrainChaos(t *testing.T) {
 		if d := store.Damaged(); len(d) != 0 {
 			t.Errorf("campaign %s damaged findings: %v", id, d)
 		}
+	}
+}
+
+// TestE2EControlPlaneDrainExits: `bvf -drain` against a real bvfd -serve
+// process runs the same shutdown path as SIGTERM. The daemon drains the
+// in-flight unit, checkpoints and exits 0; a restarted bvfd resumes the
+// campaign from the state dir and finishes it with results identical to
+// the unfaulted single-process reference.
+func TestE2EControlPlaneDrainExits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e drain drill builds binaries and runs a real campaign")
+	}
+	if raceEnabled {
+		t.Skip("reference campaign is too slow under the race detector; CI runs this uninstrumented")
+	}
+	bvfdBin, bvfBin := buildBinaries(t)
+	const (
+		iters = 90000
+		units = 3
+		seed  = 7
+	)
+	ref := refCampaign(t, seed, iters, units)
+	stateDir := t.TempDir()
+
+	var out1 syncBuffer
+	coord := exec.Command(bvfdBin, "-serve", "-addr", "127.0.0.1:0", "-state-dir", stateDir, "-lease-ttl", "2s")
+	coord.Stdout, coord.Stderr = &out1, &out1
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Process.Kill()
+	baseURL := waitForAddr(t, &out1)
+	sub := exec.Command(bvfBin, "-submit", "-coordinator", baseURL,
+		"-iters", fmt.Sprint(iters), "-workers", fmt.Sprint(units), "-seed", fmt.Sprint(seed))
+	if msg, err := sub.CombinedOutput(); err != nil {
+		t.Fatalf("bvf -submit: %v\n%s", err, msg)
+	}
+	w := exec.Command(bvfBin, "-worker", "-coordinator", baseURL, "-worker-name", "w1")
+	w.Stdout, w.Stderr = os.Stderr, os.Stderr
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Process.Kill()
+
+	// Drain while the worker holds a lease, so the drain has in-flight
+	// work to wait for.
+	status := orchestrator.NewClient(baseURL, "e2e-harness")
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		st, err := status.Status("c1")
+		if err == nil && len(st.Units) > 0 && st.Units[0].State == "leased" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never held a lease:\n%s", out1.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if msg, err := exec.Command(bvfBin, "-drain", "-coordinator", baseURL).CombinedOutput(); err != nil {
+		t.Fatalf("bvf -drain: %v\n%s", err, msg)
+	}
+	coordErr := make(chan error, 1)
+	go func() { coordErr <- coord.Wait() }()
+	select {
+	case err := <-coordErr:
+		if err != nil {
+			t.Fatalf("drained bvfd exited with %v:\n%s", err, out1.String())
+		}
+	case <-time.After(time.Minute):
+		t.Fatalf("bvf -drain never made bvfd exit:\n%s", out1.String())
+	}
+	for _, line := range []string{"drain requested: draining 1 active campaign(s)", "drained; state checkpointed, exiting"} {
+		if !strings.Contains(out1.String(), line) {
+			t.Errorf("coordinator output lacks %q:\n%s", line, out1.String())
+		}
+	}
+	wDone := make(chan struct{})
+	go func() { w.Wait(); close(wDone) }()
+	select {
+	case <-wDone:
+	case <-time.After(15 * time.Second):
+		w.Process.Kill()
+		<-wDone
+	}
+
+	// A one-shot restart resumes the campaign and a fresh worker
+	// finishes it.
+	var out2 syncBuffer
+	coord2 := exec.Command(bvfdBin, "-addr", "127.0.0.1:0", "-state-dir", stateDir, "-lease-ttl", "2s")
+	coord2.Stdout, coord2.Stderr = &out2, &out2
+	if err := coord2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Process.Kill()
+	baseURL2 := waitForAddr(t, &out2)
+	if !strings.Contains(out2.String(), "resuming 1 persisted campaign(s)") {
+		t.Fatalf("restarted bvfd did not resume the campaign:\n%s", out2.String())
+	}
+	w2 := exec.Command(bvfBin, "-worker", "-coordinator", baseURL2, "-worker-name", "w2")
+	w2.Stdout, w2.Stderr = os.Stderr, os.Stderr
+	if err := w2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Process.Kill()
+	coord2Err := make(chan error, 1)
+	go func() { coord2Err <- coord2.Wait() }()
+	select {
+	case err := <-coord2Err:
+		if err != nil {
+			t.Fatalf("resumed bvfd exited with %v:\n%s", err, out2.String())
+		}
+	case <-time.After(3 * time.Minute):
+		t.Fatalf("resumed campaign never completed:\n%s", out2.String())
+	}
+	if err := w2.Wait(); err != nil {
+		t.Errorf("w2: %v", err)
+	}
+	out := out2.String()
+	if !regexp.MustCompile(`(?m)^\[c1\] completed `).MatchString(out) {
+		t.Errorf("campaign c1 did not complete:\n%s", out)
+	}
+	if m := regexp.MustCompile(`iterations:\s+(\d+)`).FindStringSubmatch(out); m == nil || m[1] != fmt.Sprint(iters) {
+		t.Errorf("iterations line = %v, want %d\n%s", m, iters, out)
+	}
+	want := map[string]bool{}
+	for _, rec := range ref.Bugs {
+		want[fmt.Sprintf("%d|%s|%d|%v", rec.FoundAt, rec.ID, rec.Indicator, rec.Kind)] = true
+	}
+	if got := bugSet(out); !maps.Equal(got, want) {
+		t.Errorf("resumed campaign bugs %v, reference %v", got, want)
 	}
 }

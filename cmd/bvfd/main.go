@@ -25,10 +25,11 @@
 // full iteration quota. Lease fencing tokens carry the coordinator
 // incarnation, which -state-dir persists across restarts.
 //
-// SIGTERM/SIGINT triggers a graceful drain: no new leases are granted,
-// in-flight units complete (or their leases expire), every campaign's
-// lease table is checkpointed, and bvfd exits cleanly. Campaign
-// lifecycle states survive: a restarted bvfd resumes them.
+// SIGTERM/SIGINT or a /v1/drain request (bvf -drain) triggers a graceful
+// drain: no new leases are granted, in-flight units complete (or their
+// leases expire), every campaign's lease table is checkpointed, and bvfd
+// exits cleanly. Campaign lifecycle states survive: a restarted bvfd
+// resumes them.
 //
 // -auth enables admission control. Its value is a comma-separated list
 // of client entries "name=token[:maxcampaigns[:maxiters]]" (quotas are
@@ -147,13 +148,12 @@ func run() int {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	start := time.Now()
 
-	select {
-	case <-mgr.Done():
-	case sig := <-sigs:
-		// Graceful drain: stop granting leases, let in-flight units
-		// complete (or expire), checkpoint everything, exit cleanly.
+	// Graceful drain, on a signal or a /v1/drain request: stop granting
+	// leases, let in-flight units complete (or expire), checkpoint
+	// everything, exit cleanly.
+	drain := func(cause string) int {
 		n := mgr.Drain()
-		fmt.Fprintf(os.Stderr, "bvfd: %v: draining %d active campaign(s)\n", sig, n)
+		fmt.Fprintf(os.Stderr, "bvfd: %s: draining %d active campaign(s)\n", cause, n)
 		deadline := time.Now().Add(2 * *leaseTTL)
 		for !mgr.Quiesced() && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Millisecond)
@@ -163,6 +163,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "bvfd: drained; state checkpointed, exiting\n")
 		printCampaigns(mgr)
 		return 0
+	}
+	select {
+	case <-mgr.Done():
+	case sig := <-sigs:
+		return drain(sig.String())
+	case <-mgr.Draining():
+		return drain("drain requested")
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "bvfd: serve: %v\n", err)
 		return 1

@@ -274,7 +274,9 @@ func (p *ParallelCampaign) Resume(snap *Snapshot) error {
 		// Warm the shared store from the snapshot. A campaign resumed
 		// without a cache (or vice versa) is still valid — the cache only
 		// changes how fast verdicts are reached, never which.
-		p.cfg.SharedCache.Import(snap.Cache)
+		if err := p.cfg.SharedCache.Import(snap.Cache); err != nil {
+			return fmt.Errorf("parallel campaign: resume: %w", err)
+		}
 	}
 	return nil
 }

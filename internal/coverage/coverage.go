@@ -7,8 +7,10 @@
 package coverage
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -46,21 +48,23 @@ func SiteOf(loc string) Site {
 
 // Map records the set of covered sites. A Map is safe for concurrent use.
 type Map struct {
-	mu    sync.RWMutex
-	sites map[Site]uint64 // hit counts
+	mu      sync.RWMutex
+	counts  []uint64 // hit counts indexed by ID; a site is covered iff its count is nonzero
+	covered int      // number of nonzero counts
 
 	// Sorted-snapshot cache: Snapshot and Signature are called on every
 	// reporter tick and corpus admission, but the *site set* only changes
-	// when a Hit or Merge inserts a previously unseen site. The cache is
-	// invalidated on insertion only — count bumps on known sites keep it.
-	snapCache []Site
+	// when a hit or merge covers a previously unseen site. The cache holds
+	// the covered IDs in Site order and is invalidated on insertion only —
+	// count bumps on known sites keep it.
+	snapCache []ID
 	sigCache  uint64
 	sigValid  bool
 }
 
 // NewMap returns an empty coverage map.
 func NewMap() *Map {
-	return &Map{sites: make(map[Site]uint64)}
+	return &Map{}
 }
 
 // Hit records one execution of the given site.
@@ -68,12 +72,24 @@ func (m *Map) Hit(s Site) {
 	if m == nil {
 		return
 	}
+	id := InternSite(s)
 	m.mu.Lock()
-	if _, known := m.sites[s]; !known {
+	m.addLocked(id, 1)
+	m.mu.Unlock()
+}
+
+// addLocked adds n hits of id and reports whether id was new to m; the
+// caller holds the write lock.
+func (m *Map) addLocked(id ID, n uint64) bool {
+	m.counts = growCounts(m.counts, id)
+	c := &m.counts[id]
+	fresh := *c == 0 && n != 0
+	*c += n
+	if fresh {
+		m.covered++
 		m.invalidateLocked()
 	}
-	m.sites[s]++
-	m.mu.Unlock()
+	return fresh
 }
 
 // invalidateLocked drops the sorted-snapshot cache; the caller holds the
@@ -93,28 +109,27 @@ func (m *Map) Count() int {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.sites)
+	return m.covered
 }
 
 // Covered reports whether s has been hit at least once.
-func (m *Map) Covered(s Site) bool {
-	if m == nil {
-		return false
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.sites[s]
-	return ok
-}
+func (m *Map) Covered(s Site) bool { return m.Hits(s) != 0 }
 
 // Hits returns the hit count of s.
 func (m *Map) Hits(s Site) uint64 {
 	if m == nil {
 		return 0
 	}
+	id, ok := reg.lookup(s)
+	if !ok {
+		return 0
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.sites[s]
+	if int(id) >= len(m.counts) {
+		return 0
+	}
+	return m.counts[id]
 }
 
 // Merge adds every site of other into m and returns the number of sites
@@ -133,14 +148,10 @@ func (m *Map) Merge(other *Map) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fresh := 0
-	for s, n := range snap {
-		if _, ok := m.sites[s]; !ok {
+	for id, n := range snap {
+		if m.addLocked(ID(id), n) {
 			fresh++
 		}
-		m.sites[s] += n
-	}
-	if fresh > 0 {
-		m.invalidateLocked()
 	}
 	return fresh
 }
@@ -148,54 +159,43 @@ func (m *Map) Merge(other *Map) int {
 // Diff returns the number of sites covered by other but not by m, without
 // modifying either map. Like Merge, it never holds both locks at once.
 func (m *Map) Diff(other *Map) int {
-	if m == nil || other == nil {
-		return 0
-	}
-	if m == other {
+	if m == nil || other == nil || m == other {
 		return 0
 	}
 	snap := other.snapshotCounts()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	fresh := 0
-	for s := range snap {
-		if _, ok := m.sites[s]; !ok {
+	for id, n := range snap {
+		if n != 0 && (id >= len(m.counts) || m.counts[id] == 0) {
 			fresh++
 		}
 	}
 	return fresh
 }
 
-// snapshotCounts copies the site->count map under the read lock.
-func (m *Map) snapshotCounts() map[Site]uint64 {
+// snapshotCounts copies the dense counts under the read lock.
+func (m *Map) snapshotCounts() []uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	snap := make(map[Site]uint64, len(m.sites))
-	for s, n := range m.sites {
-		snap[s] = n
-	}
-	return snap
+	return slices.Clone(m.counts)
 }
 
-// AddSites folds a recorded (site, count) profile into m under one lock
-// acquisition and returns how many sites were new to m — exactly the
-// effect of replaying every hit individually. Verdict-cache hits use it
-// to reproduce a memoized verification's coverage without re-verifying.
-func (m *Map) AddSites(sites []SiteCount) int {
-	if m == nil || len(sites) == 0 {
+// AddSites folds a recorded profile into m under one lock acquisition and
+// returns how many sites were new to m — exactly the effect of replaying
+// every hit individually. Verdict-cache hits use it to reproduce a
+// memoized verification's coverage without re-verifying.
+func (m *Map) AddSites(p []IDCount) int {
+	if m == nil || len(p) == 0 {
 		return 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fresh := 0
-	for _, sc := range sites {
-		if _, ok := m.sites[sc.Site]; !ok {
+	for _, r := range p {
+		if m.addLocked(r.ID, uint64(r.Count)) {
 			fresh++
 		}
-		m.sites[sc.Site] += sc.Count
-	}
-	if fresh > 0 {
-		m.invalidateLocked()
 	}
 	return fresh
 }
@@ -203,7 +203,8 @@ func (m *Map) AddSites(sites []SiteCount) int {
 // Reset clears all recorded coverage.
 func (m *Map) Reset() {
 	m.mu.Lock()
-	m.sites = make(map[Site]uint64)
+	clear(m.counts)
+	m.covered = 0
 	m.invalidateLocked()
 	m.mu.Unlock()
 }
@@ -213,21 +214,28 @@ func (m *Map) Reset() {
 // caller's to keep.
 func (m *Map) Snapshot() []Site {
 	m.mu.Lock()
-	snap := m.sortedLocked()
-	out := append([]Site(nil), snap...)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	ids := m.sortedLocked()
+	out := make([]Site, len(ids))
+	for i, id := range ids {
+		out[i] = id.Site()
+	}
 	return out
 }
 
-// sortedLocked returns (building if needed) the cached sorted site list;
-// the caller holds the write lock and must not retain the slice outside it.
-func (m *Map) sortedLocked() []Site {
+// sortedLocked returns (building if needed) the cached covered-ID list in
+// Site order; the caller holds the write lock and must not retain the
+// slice outside it.
+func (m *Map) sortedLocked() []ID {
 	if m.snapCache == nil {
-		out := make([]Site, 0, len(m.sites))
-		for s := range m.sites {
-			out = append(out, s)
+		out := make([]ID, 0, m.covered)
+		for id, n := range m.counts {
+			if n != 0 {
+				out = append(out, ID(id))
+			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		sites := reg.view.Load().sites
+		slices.SortFunc(out, func(a, b ID) int { return cmp.Compare(sites[a], sites[b]) })
 		m.snapCache = out
 	}
 	return m.snapCache
@@ -247,54 +255,55 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 	// counts from another (a torn snapshot under checkpoint-while-running).
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sites := m.sortedLocked()
-	out := make([]byte, 0, 8+16*len(sites))
-	var b [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		out = append(out, b[:]...)
-	}
-	put(uint64(len(sites)))
-	for _, s := range sites {
-		put(uint64(s))
-		put(m.sites[s])
+	ids := m.sortedLocked()
+	out := make([]byte, 0, 8+16*len(ids))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(ids)))
+	for _, id := range ids {
+		out = binary.LittleEndian.AppendUint64(out, uint64(id.Site()))
+		out = binary.LittleEndian.AppendUint64(out, m.counts[id])
 	}
 	return out, nil
 }
 
 // UnmarshalBinary restores a map serialized by MarshalBinary, replacing any
-// existing contents.
+// existing contents. Input whose unknown sites do not fit in the site
+// registry is refused with ErrRegistryFull and leaves both the map and
+// the registry unchanged; so is a zero hit count, which MarshalBinary
+// never writes.
 func (m *Map) UnmarshalBinary(data []byte) error {
-	if len(data) == 0 {
-		m.mu.Lock()
-		m.sites = make(map[Site]uint64)
-		m.invalidateLocked()
-		m.mu.Unlock()
-		return nil
-	}
-	if len(data) < 8 {
-		return errors.New("coverage: truncated serialized map")
-	}
-	get := func(off int) uint64 {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(data[off+i]) << (8 * i)
+	var counts []uint64
+	covered := 0
+	if len(data) > 0 {
+		if len(data) < 8 {
+			return errors.New("coverage: truncated serialized map")
 		}
-		return v
-	}
-	n := int(get(0))
-	if len(data) != 8+16*n {
-		return errors.New("coverage: serialized map length mismatch")
-	}
-	sites := make(map[Site]uint64, n)
-	for i := 0; i < n; i++ {
-		off := 8 + 16*i
-		sites[Site(get(off))] = get(off + 8)
+		n := binary.LittleEndian.Uint64(data)
+		if n > uint64(len(data)/16) || len(data) != 8+16*int(n) {
+			return errors.New("coverage: serialized map length mismatch")
+		}
+		sites := make([]Site, n)
+		hits := make([]uint64, n)
+		for i := range sites {
+			rec := data[8+16*i:]
+			sites[i] = Site(binary.LittleEndian.Uint64(rec))
+			if hits[i] = binary.LittleEndian.Uint64(rec[8:]); hits[i] == 0 {
+				return errors.New("coverage: serialized map has a zero hit count")
+			}
+		}
+		ids := make([]ID, n)
+		if err := reg.intern(sites, ids); err != nil {
+			return err
+		}
+		for i, id := range ids {
+			counts = growCounts(counts, id)
+			if counts[id] == 0 {
+				covered++
+			}
+			counts[id] = hits[i]
+		}
 	}
 	m.mu.Lock()
-	m.sites = sites
+	m.counts, m.covered = counts, covered
 	m.invalidateLocked()
 	m.mu.Unlock()
 	return nil
@@ -310,8 +319,8 @@ func (m *Map) Signature() uint64 {
 		return m.sigCache
 	}
 	h := uint64(fnvOffset64)
-	for _, s := range m.sortedLocked() {
-		v := uint64(s)
+	for _, id := range m.sortedLocked() {
+		v := uint64(id.Site())
 		for i := 0; i < 8; i++ {
 			h ^= v >> (8 * i) & 0xff
 			h *= fnvPrime64

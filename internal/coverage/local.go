@@ -1,64 +1,77 @@
 package coverage
 
-import "slices"
-
 // Local is an unsynchronized per-run coverage recorder. One verification
 // (or one campaign iteration) records every hit into its Local without
 // touching a lock, then folds the whole batch into the shared Map with a
 // single FlushTo — one lock acquisition instead of one per instrumented
 // site. A Local is NOT safe for concurrent use; ownership follows the run
 // that records into it.
+//
+// The recorder is a counter array indexed by ID plus the list of IDs hit
+// so far, so a hit is an index and an increment, and a flush walks only
+// the touched sites and clears them in place.
 type Local struct {
-	sites map[Site]uint64
+	counts  []uint64 // hit counts indexed by ID
+	touched []ID     // IDs with a nonzero count, in first-hit order
 }
 
-// NewLocal returns an empty local recorder.
+// NewLocal returns an empty local recorder sized for every site
+// registered so far.
 func NewLocal() *Local {
-	return &Local{sites: make(map[Site]uint64, 128)}
+	return &Local{counts: make([]uint64, reg.size()), touched: make([]ID, 0, 128)}
 }
 
 // Hit records one execution of the given site.
-func (l *Local) Hit(s Site) {
+func (l *Local) Hit(id ID) {
 	if l == nil {
 		return
 	}
-	l.sites[s]++
+	if int(id) < len(l.counts) && l.counts[id] != 0 {
+		l.counts[id]++
+		return
+	}
+	l.add(id, 1)
+}
+
+// add records n hits of id, growing the array and noting a first hit.
+func (l *Local) add(id ID, n uint64) {
+	if n == 0 {
+		return
+	}
+	l.counts = growCounts(l.counts, id)
+	if l.counts[id] == 0 {
+		l.touched = append(l.touched, id)
+	}
+	l.counts[id] += n
 }
 
 // HitLoc records one execution of the site named by loc.
-func (l *Local) HitLoc(loc string) { l.Hit(SiteOf(loc)) }
+func (l *Local) HitLoc(loc string) {
+	if l != nil {
+		l.Hit(Intern(loc))
+	}
+}
 
 // Len returns the number of distinct recorded sites.
 func (l *Local) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.sites)
+	return len(l.touched)
 }
 
-// Export returns the recorded (site, count) profile in deterministic
-// (sorted-by-site) order without clearing the recorder. Verdict caches
-// capture it at the end of a verification so a later hit can replay the
-// exact profile with Map.AddSites.
-func (l *Local) Export() []SiteCount {
-	if l == nil || len(l.sites) == 0 {
+// Export returns the recorded profile in first-hit order without clearing
+// the recorder. Verdict caches capture it at the end of a verification so
+// a later hit can replay the exact profile with Map.AddSites; replay is
+// order-independent, and Expand sorts by Site where order matters.
+func (l *Local) Export() []IDCount {
+	if l == nil || len(l.touched) == 0 {
 		return nil
 	}
-	out := make([]SiteCount, 0, len(l.sites))
-	for s, n := range l.sites {
-		out = append(out, SiteCount{Site: s, Count: n})
+	out := make([]IDCount, 0, len(l.touched))
+	for _, id := range l.touched {
+		out = appendRuns(out, id, l.counts[id])
 	}
-	// The generic sort avoids sort.Slice's reflection swapper — Export
-	// runs once per cache-missing verification.
-	slices.SortFunc(out, func(a, b SiteCount) int {
-		switch {
-		case a.Site < b.Site:
-			return -1
-		case a.Site > b.Site:
-			return 1
-		}
-		return 0
-	})
 	return out
 }
 
@@ -66,12 +79,12 @@ func (l *Local) Export() []SiteCount {
 // every hit had been recorded individually. Prefix-snapshot restores use
 // it to rebuild the coverage a resumed verification's skipped prefix
 // would have produced.
-func (l *Local) AddSites(sites []SiteCount) {
+func (l *Local) AddSites(p []IDCount) {
 	if l == nil {
 		return
 	}
-	for _, sc := range sites {
-		l.sites[sc.Site] += sc.Count
+	for _, r := range p {
+		l.add(r.ID, uint64(r.Count))
 	}
 }
 
@@ -80,25 +93,24 @@ func (l *Local) AddSites(sites []SiteCount) {
 // new to m (the fuzzing "new coverage" feedback signal), exactly as if
 // every hit had been recorded on m directly.
 func (l *Local) FlushTo(m *Map) int {
-	if l == nil || len(l.sites) == 0 {
+	if l == nil || len(l.touched) == 0 {
 		return 0
 	}
 	fresh := 0
 	if m != nil {
 		m.mu.Lock()
-		for s, n := range l.sites {
-			if _, ok := m.sites[s]; !ok {
+		for _, id := range l.touched {
+			if m.addLocked(id, l.counts[id]) {
 				fresh++
 			}
-			m.sites[s] += n
-		}
-		if fresh > 0 {
-			m.invalidateLocked()
+			l.counts[id] = 0
 		}
 		m.mu.Unlock()
+	} else {
+		for _, id := range l.touched {
+			l.counts[id] = 0
+		}
 	}
-	for s := range l.sites {
-		delete(l.sites, s)
-	}
+	l.touched = l.touched[:0]
 	return fresh
 }

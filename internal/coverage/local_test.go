@@ -39,7 +39,7 @@ func TestLocalFlushMatchesDirectHits(t *testing.T) {
 
 func TestLocalNilSafe(t *testing.T) {
 	var l *Local
-	l.Hit(SiteOf("x"))
+	l.Hit(Intern("x"))
 	l.HitLoc("x")
 	if l.Len() != 0 {
 		t.Fatal("nil Local reported nonzero length")
@@ -185,5 +185,49 @@ func TestLocalFlushRace(t *testing.T) {
 
 	if got := shared.Hits(SiteOf("exit:main")); got != 4*200 {
 		t.Fatalf("exit:main hits = %d, want %d", got, 4*200)
+	}
+}
+
+// hotPathSites is one verification's worth of coverage: a few dozen
+// distinct sites, most hit many times.
+func hotPathSites() []ID {
+	ids := make([]ID, 48)
+	for i := range ids {
+		ids[i] = Intern(fmt.Sprintf("hotpath:%d", i))
+	}
+	hits := make([]ID, 0, 400)
+	for i := 0; i < cap(hits); i++ {
+		hits = append(hits, ids[(i*i+3*i)%len(ids)])
+	}
+	return hits
+}
+
+// TestLocalSteadyStateZeroAlloc: once a recorder has seen its sites, a
+// verification's hits plus the flush allocate nothing.
+func TestLocalSteadyStateZeroAlloc(t *testing.T) {
+	hits := hotPathSites()
+	m, l := NewMap(), NewLocal()
+	run := func() {
+		for _, id := range hits {
+			l.Hit(id)
+		}
+		l.FlushTo(m)
+	}
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Errorf("steady-state Hit/FlushTo allocates %.1f objects/run, want 0", avg)
+	}
+}
+
+func BenchmarkCoverageHotPath(b *testing.B) {
+	hits := hotPathSites()
+	m, l := NewMap(), NewLocal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, id := range hits {
+			l.Hit(id)
+		}
+		l.FlushTo(m)
 	}
 }

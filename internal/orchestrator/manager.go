@@ -66,6 +66,7 @@ type Manager struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
+	drained  chan struct{} // closed by the first Drain
 }
 
 // campaign is one registry entry. coord/store are nil for a Failed
@@ -122,6 +123,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg:       cfg,
 		campaigns: make(map[string]*campaign),
 		done:      make(chan struct{}),
+		drained:   make(chan struct{}),
 	}
 	if cfg.StateDir != "" {
 		if err := m.restore(); err != nil {
@@ -381,6 +383,10 @@ func (m *Manager) sweep() {
 // ExitWhenIdle; a service manager never closes it).
 func (m *Manager) Done() <-chan struct{} { return m.done }
 
+// Draining is closed once Drain has been called, in process or over the
+// control plane (/v1/drain), so the daemon can run its shutdown path.
+func (m *Manager) Draining() <-chan struct{} { return m.drained }
+
 // guard runs one campaign operation behind the per-campaign fault point
 // and a panic barrier. A recovered panic is a strike; at maxStrikes the
 // campaign transitions to Failed — its coordinator stops being routed
@@ -586,6 +592,7 @@ func (m *Manager) Drain() int {
 	n := m.activeLocked()
 	if !m.draining {
 		m.draining = true
+		close(m.drained)
 		for _, c := range m.campaigns {
 			if c.coord != nil && !terminal(c.state) {
 				c.coord.SetDraining(true)

@@ -2,8 +2,11 @@ package orchestrator
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/coverage"
 	"repro/internal/faultinject"
 )
 
@@ -719,5 +723,91 @@ func TestSpecUnitBound(t *testing.T) {
 	most.Units = maxUnits
 	if sub, err := m.Submit(SubmitRequest{Spec: most}); err != nil || sub.ID != "c1" {
 		t.Fatalf("submit at the bound = (%q, %v), want c1", sub.ID, err)
+	}
+}
+
+// rawCoverage stands in for a *coverage.Map on the encoding side: gob
+// matches struct fields by name, so statsWithCoverage decodes as a
+// core.Stats whose Coverage carries these exact serialized-map bytes.
+type rawCoverage []byte
+
+func (r rawCoverage) MarshalBinary() ([]byte, error) { return r, nil }
+
+type statsWithCoverage struct {
+	Iterations int
+	Coverage   rawCoverage
+}
+
+// syntheticStats gob-encodes unit statistics whose coverage map carries
+// n never-interned sites.
+func syntheticStats(t *testing.T, iters, n int) []byte {
+	t.Helper()
+	raw := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+16*n), uint64(n))
+	for i := 0; i < n; i++ {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(coverage.SiteOf(fmt.Sprintf("synthetic:%d", i))))
+		raw = binary.LittleEndian.AppendUint64(raw, 1)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(statsWithCoverage{Iterations: iters, Coverage: raw}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOversizedCoverageResultRefused: a unit result whose coverage map
+// would take the process-global site registry past its bound is a hard
+// 400, whether the request body limit or the registry bound catches it.
+// The registry does not grow, the lease stays live, and the campaign
+// still completes from a genuine result.
+func TestOversizedCoverageResultRefused(t *testing.T) {
+	spec := testSpec()
+	spec.Units = 1
+	m, ids := newTestManager(t, ManagerConfig{}, spec)
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+
+	lr := m.Lease(LeaseRequest{Worker: "w1"})
+	if lr.Status != StatusLease {
+		t.Fatalf("lease status %q", lr.Status)
+	}
+	before := coverage.Registered()
+	for _, n := range []int{1 << 20, coverage.MaxSites + 1} {
+		b, err := json.Marshal(ResultRequest{
+			Worker: "w1", Campaign: lr.Campaign, UnitID: lr.Unit.ID, Token: lr.Token,
+			Stats: syntheticStats(t, lr.Unit.Quota, n),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+PathResult, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%d-site result = %d, want hard 400", n, resp.StatusCode)
+		}
+	}
+	if got := coverage.Registered(); got != before {
+		t.Errorf("site registry grew from %d to %d", before, got)
+	}
+	st, err := m.Status(StatusRequest{Campaign: ids[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateRunning || st.Units[0].State != "leased" || st.Units[0].Worker != "w1" {
+		t.Fatalf("refused result changed the campaign: %s, unit %+v", st.State, st.Units[0])
+	}
+	if got := m.MergedStats(ids[0]).Iterations; got != 0 {
+		t.Fatalf("refused result merged %d iterations", got)
+	}
+	if _, err := m.Result(ResultRequest{
+		Worker: "w1", Campaign: lr.Campaign, UnitID: lr.Unit.ID, Token: lr.Token,
+		Stats: runUnit(t, lr.Spec, lr.Unit),
+	}); err != nil {
+		t.Fatalf("genuine result after the refusals: %v", err)
+	}
+	if got := stateOf(t, m, ids[0]); got != StateCompleted {
+		t.Errorf("campaign = %q, want completed", got)
 	}
 }

@@ -23,6 +23,12 @@ const (
 	PathDrain     = "/v1/drain"
 )
 
+// maxRequestBytes bounds a control-plane request body. The largest
+// legitimate request is a unit result, whose gob-encoded statistics take
+// tens of kilobytes; even a coverage map at the site registry's bound
+// (coverage.MaxSites) is 1 MiB. Larger bodies are a hard 400.
+const maxRequestBytes = 8 << 20
+
 // NewServer wraps a campaign manager in the HTTP+JSON control plane.
 // Every handler passes the "orch.server" fault point first, so tests can
 // make the coordinator drop requests (500) deterministically and prove
@@ -101,7 +107,7 @@ func handle[Req, Resp any](w http.ResponseWriter, r *http.Request, retryAfter st
 		return
 	}
 	var req Req
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -2,13 +2,16 @@ package vcache
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/coverage"
 	"repro/internal/verifier"
 )
 
@@ -67,7 +70,9 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	dst := NewStore(0)
-	dst.Import(&ser)
+	if err := dst.Import(&ser); err != nil {
+		t.Fatalf("import: %v", err)
+	}
 	if dst.Len() != n {
 		t.Fatalf("imported %d entries, want %d", dst.Len(), n)
 	}
@@ -135,5 +140,47 @@ func TestImportBitFlipErrors(t *testing.T) {
 		if err := checkpoint.Load(path, &ser); err == nil {
 			t.Fatalf("bit flip at byte %d/%d imported successfully", pos, len(raw))
 		}
+	}
+}
+
+// TestImportCoverageProfile: an entry's coverage profile survives
+// Import and Export in its persisted (site, count) form, sorted by site;
+// importing the same snapshot twice leaves it intact; and a profile whose
+// sites do not fit in the coverage site registry fails the import, which
+// then imports nothing and registers no site.
+func TestImportCoverageProfile(t *testing.T) {
+	cov := []coverage.SiteCount{
+		{Site: coverage.SiteOf("vcache:a"), Count: 3},
+		{Site: coverage.SiteOf("vcache:b"), Count: 1},
+	}
+	slices.SortFunc(cov, func(a, b coverage.SiteCount) int { return cmp.Compare(a.Site, b.Site) })
+	fp, _, v := testVerdict(1)
+	v.Cov = cov
+	ser := &Serialized{Entries: []SerializedEntry{{FP: fp, V: v}}}
+	for i := 0; i < 2; i++ {
+		dst := NewStore(0)
+		if err := dst.Import(ser); err != nil {
+			t.Fatalf("import %d: %v", i, err)
+		}
+		out := dst.Export()
+		if len(out.Entries) != 1 || !slices.Equal(out.Entries[0].V.Cov, cov) {
+			t.Fatalf("import %d: profile round-tripped as %+v, want %v", i, out.Entries, cov)
+		}
+	}
+
+	huge := make([]coverage.SiteCount, coverage.MaxSites+1)
+	for i := range huge {
+		huge[i] = coverage.SiteCount{Site: coverage.SiteOf(fmt.Sprintf("vcache:huge:%d", i)), Count: 1}
+	}
+	fp2, _, v2 := testVerdict(2)
+	v2.Cov = huge
+	before := coverage.Registered()
+	dst := NewStore(0)
+	err := dst.Import(&Serialized{Entries: []SerializedEntry{{FP: fp, V: v}, {FP: fp2, V: v2}}})
+	if !errors.Is(err, coverage.ErrRegistryFull) {
+		t.Fatalf("oversized profile: err = %v, want ErrRegistryFull", err)
+	}
+	if dst.Len() != 0 || coverage.Registered() != before {
+		t.Fatalf("refused import left %d entries, registry %d -> %d sites", dst.Len(), before, coverage.Registered())
 	}
 }

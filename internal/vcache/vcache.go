@@ -19,6 +19,7 @@ package vcache
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -236,25 +237,36 @@ func (s *Store) Export() *Serialized {
 	defer s.mu.RUnlock()
 	out := &Serialized{Entries: make([]SerializedEntry, 0, len(s.order))}
 	for _, fp := range s.order {
-		out.Entries = append(out.Entries, SerializedEntry{FP: fp, V: s.entries[fp]})
+		out.Entries = append(out.Entries, SerializedEntry{FP: fp, V: s.entries[fp].Persisted()})
 	}
 	return out
 }
 
 // Import replays a checkpointed snapshot into the store, preserving FIFO
 // order. Entries beyond capacity age out exactly as live inserts would.
-func (s *Store) Import(ser *Serialized) {
+// It imports nothing and fails when an entry's coverage profile does not
+// fit in the coverage site registry.
+func (s *Store) Import(ser *Serialized) error {
 	if ser == nil {
-		return
+		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	restored := make([]SerializedEntry, 0, len(ser.Entries))
 	for _, ent := range ser.Entries {
 		if ent.V == nil {
 			continue
 		}
+		v, err := ent.V.Restored()
+		if err != nil {
+			return fmt.Errorf("vcache: import entry %#x: %w", ent.FP, err)
+		}
+		restored = append(restored, SerializedEntry{FP: ent.FP, V: v})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ent := range restored {
 		s.insertLocked(ent.FP, ent.V)
 	}
+	return nil
 }
 
 // Shard is one shard's view of a shared Store: reads see the frozen

@@ -120,10 +120,12 @@ func BenchmarkVerifyHotPath(b *testing.B) {
 }
 
 // TestVerifyHotPathAllocBudget is the allocation regression guard: the
-// pooled hot path measures ~68 allocs per verification (down from 162
+// pooled hot path measures 4 allocs per verification (down from 162
 // before state pooling, precomputed coverage sites and lazy rejection
-// errors). The budget leaves headroom for runtime/toolchain jitter while
-// still catching any change that reintroduces per-path allocation.
+// errors). The budget leaves headroom for
+// runtime/toolchain jitter while still catching any change that
+// reintroduces per-path or per-hit allocation. Race-instrumented builds
+// get a budget of 100 (see raceEnabled).
 func TestVerifyHotPathAllocBudget(t *testing.T) {
 	k := newBenchKernel()
 	cov := coverage.NewMap()
@@ -137,8 +139,11 @@ func TestVerifyHotPathAllocBudget(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	const budget = 100
-	if avg > budget {
+	budget := 8
+	if raceEnabled {
+		budget = 100 // see raceEnabled
+	}
+	if avg > float64(budget) {
 		t.Errorf("hot-path verification allocates %.1f objects/run, budget %d", avg, budget)
 	}
 	t.Logf("hot-path verification: %.1f allocs/run (budget %d)", avg, budget)

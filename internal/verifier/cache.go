@@ -102,9 +102,37 @@ type CachedVerdict struct {
 	UsedMapFDs []int32
 	R0Bounds   ReturnBounds
 
-	// Cov is the exact (site, count) coverage profile the scratch
-	// verification recorded, replayed into Config.Cov on every hit.
+	// Cov is the coverage profile in its persisted (site, count) form. It
+	// is set only on the copies Persisted makes for a checkpoint; Restored
+	// moves it back into cov.
 	Cov []coverage.SiteCount
+
+	// cov is the exact coverage profile the scratch verification
+	// recorded, replayed into Config.Cov on every hit.
+	cov []coverage.IDCount
+}
+
+// Persisted returns a copy of v for a checkpoint, its coverage profile
+// converted to the persisted (site, count) form sorted by site.
+func (v *CachedVerdict) Persisted() *CachedVerdict {
+	p := *v
+	p.Cov, p.cov = coverage.Expand(v.cov), nil
+	return &p
+}
+
+// Restored returns a copy of a checkpointed entry with its coverage
+// profile converted back to the in-memory form. It fails when the
+// profile's sites do not fit in the coverage site registry.
+func (v *CachedVerdict) Restored() (*CachedVerdict, error) {
+	r := *v
+	if r.Cov != nil {
+		cov, err := coverage.Compact(r.Cov)
+		if err != nil {
+			return nil, err
+		}
+		r.Cov, r.cov = nil, cov
+	}
+	return &r, nil
 }
 
 // EstimateBytes approximates the entry's memory footprint for the cache
@@ -114,13 +142,13 @@ func (v *CachedVerdict) EstimateBytes() int {
 	n += len(v.RangeChecks) * 40
 	n += len(v.ProbeMem) * 16
 	n += len(v.UsedMapFDs) * 4
-	n += len(v.Cov) * 16
+	n += len(v.cov) * 8
 	return n
 }
 
 // newCachedVerdict builds the cache entry for one scratch verification, or
 // nil when the outcome must not be cached (timeouts, internal errors).
-func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.SiteCount) *CachedVerdict {
+func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.IDCount) *CachedVerdict {
 	if err != nil {
 		// Fast path: verify returns its *Error values unwrapped, and the
 		// errors.As target cell heap-escapes on every call.
@@ -134,7 +162,7 @@ func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.SiteC
 			Insn:     ve.Insn,
 			Errno:    ve.Errno,
 			Msg:      ve.Message(),
-			Cov:      cov,
+			cov:      cov,
 		}
 	}
 	var fds []int32
@@ -153,7 +181,7 @@ func newCachedVerdict(canon []byte, res *Result, err error, cov []coverage.SiteC
 		ProbeMem:      res.ProbeMem,
 		UsedMapFDs:    fds,
 		R0Bounds:      res.R0Bounds,
-		Cov:           cov,
+		cov:           cov,
 	}
 }
 
@@ -183,7 +211,7 @@ func (v *CachedVerdict) materialize(prog *isa.Program, cfg *Config) (*Result, er
 			return nil, nil, false
 		}
 	}
-	cfg.Cov.AddSites(v.Cov)
+	cfg.Cov.AddSites(v.cov)
 	if v.Rejected {
 		return nil, &Error{Insn: v.Insn, Msg: v.Msg, Errno: v.Errno}, true
 	}
@@ -250,7 +278,7 @@ type PrefixSnapshot struct {
 
 	// Cov is the coverage the prefix run recorded, replayed into the
 	// resumed verification's local recorder.
-	Cov []coverage.SiteCount
+	Cov []coverage.IDCount
 }
 
 // PrefixInsnType is one (instruction, recorded access type) pair in a
@@ -282,7 +310,7 @@ func (s *PrefixSnapshot) EstimateBytes() int {
 	n += len(s.AluScalarPath) * 4
 	n += len(s.ProbeMem) * 4
 	n += len(s.UsedMapFDs) * 4
-	n += len(s.Cov) * 16
+	n += len(s.Cov) * 8
 	return n
 }
 
@@ -564,7 +592,7 @@ func (e *env) rebindReg(reg *RegState) bool {
 // exportCov captures the local coverage recorder into *dst. It is
 // registered as a deferred call after the FlushTo defer, so it runs first
 // (LIFO) — while the recorder still holds the run's profile.
-func (e *env) exportCov(dst *[]coverage.SiteCount) {
+func (e *env) exportCov(dst *[]coverage.IDCount) {
 	*dst = e.lcov.Export()
 }
 

@@ -63,7 +63,7 @@ func (e *env) checkALU(st *State, i int, ins isa.Instruction) error {
 
 	switch op {
 	case isa.ALUEnd:
-		e.cov("alu:end")
+		e.covs(siteAluEnd)
 		if err := e.checkRegRead(st, i, ins.Dst); err != nil {
 			return err
 		}
@@ -74,7 +74,7 @@ func (e *env) checkALU(st *State, i int, ins isa.Instruction) error {
 		return nil
 
 	case isa.ALUNeg:
-		e.cov("alu:neg")
+		e.covs(siteAluNeg)
 		if err := e.checkRegRead(st, i, ins.Dst); err != nil {
 			return err
 		}
@@ -149,21 +149,21 @@ func (e *env) checkALU(st *State, i int, ins isa.Instruction) error {
 		// The scalar operand is the *destination* register here, so any
 		// alu_limit assertion must watch ins.Dst, not ins.Src.
 		if op == isa.ALUAdd && is64 {
-			e.cov("alu:scalar_plus_ptr")
+			e.covs(siteAluScalarPlusPtr)
 			scalar := *dst
 			*dst = src
 			return e.checkPtrALU(st, i, ins, op, is64, dst, &scalar, ins.Dst, true)
 		}
-		e.cov("alu:scalar_ptr_reject")
+		e.covs(siteAluScalarPtrReject)
 		return e.reject(i, EACCES, "R%d pointer operand to %s prohibited", ins.Src, aluOpName(op))
 	default: // ptr op ptr
 		if op == isa.ALUSub && is64 && dst.Type == src.Type && sameObject(dst, &src) {
 			// ptr - ptr over the same object yields a scalar.
-			e.cov("alu:ptr_sub_ptr")
+			e.covs(siteAluPtrSubPtr)
 			dst.markUnknown()
 			return nil
 		}
-		e.cov("alu:ptr_ptr_reject")
+		e.covs(siteAluPtrPtrReject)
 		return e.reject(i, EACCES, "R%d pointer %s pointer prohibited", ins.Dst, aluOpName(op))
 	}
 }
@@ -203,7 +203,7 @@ func (e *env) checkMov(st *State, i int, ins isa.Instruction, is64 bool) error {
 			if src.Type != Scalar {
 				return e.reject(i, EACCES, "R%d sign-extending move on pointer prohibited", ins.Src)
 			}
-			e.cov("alu:movsx")
+			e.covs(siteAluMovsx)
 			*dst = unknownScalar()
 			return nil
 		}
@@ -232,20 +232,20 @@ func (e *env) checkMov(st *State, i int, ins isa.Instruction, is64 bool) error {
 // adjust_ptr_min_max_vals.
 func (e *env) checkPtrALU(st *State, i int, ins isa.Instruction, op uint8, is64 bool, dst *RegState, scalar *RegState, scalarReg uint8, scalarIsReg bool) error {
 	if !is64 {
-		e.cov("alu:ptr32_reject")
+		e.covs(siteAluPtr32Reject)
 		return e.reject(i, EACCES, "R%d 32-bit pointer arithmetic prohibited", ins.Dst)
 	}
 	if op != isa.ALUAdd && op != isa.ALUSub {
-		e.cov("alu:ptr_op_reject")
+		e.covs(siteAluPtrOpReject)
 		return e.reject(i, EACCES, "R%d pointer arithmetic with %s operator prohibited", ins.Dst, aluOpName(op))
 	}
 	if dst.MaybeNull && !e.cfg.Bugs.Has(bugs.CVE2022_23222) {
 		// The CVE-2022-23222 fix: no arithmetic on nullable pointers.
-		e.cov("alu:ptr_or_null_reject")
+		e.covs(siteAluPtrOrNullReject)
 		return e.reject(i, EACCES, "R%d pointer arithmetic on %s_or_null prohibited, null-check it first", ins.Dst, dst.Type)
 	}
 	if dst.MaybeNull {
-		e.cov("alu:ptr_or_null_allowed_bug")
+		e.covs(siteAluPtrOrNullAllowedBug)
 	}
 
 	switch dst.Type {
@@ -254,7 +254,7 @@ func (e *env) checkPtrALU(st *State, i int, ins isa.Instruction, op uint8, is64 
 	case PtrToCtx, PtrToBTFID, PtrToStack:
 		// Only constant offsets.
 		if !scalar.IsConst() {
-			e.cov("alu:ptr_var_reject")
+			e.covs(siteAluPtrVarReject)
 			return e.reject(i, EACCES, "R%d variable offset on %s prohibited", ins.Dst, dst.Type)
 		}
 	}

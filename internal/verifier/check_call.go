@@ -35,7 +35,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 	}
 	h := e.cfg.Helpers.ByID(ins.Imm)
 	if h == nil {
-		e.cov("call:unknown")
+		e.covs(siteCallUnknown)
 		return e.reject(i, EINVAL, "invalid func unknown#%d", ins.Imm)
 	}
 	e.covName(helperCallSites, "call:", h.Name)
@@ -44,7 +44,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 	// (refreshing a clean register is merely redundant work, never wrong).
 	st.touchAllRegs()
 	if err := h.AllowedFor(e.prog.Type, e.prog.GPLCompatible); err != nil {
-		e.cov("call:gated")
+		e.covs(siteCallGated)
 		return e.reject(i, EACCES, "%v", err)
 	}
 	if err := e.checkAttachRestrictions(i, h); err != nil {
@@ -89,7 +89,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 			// Map/helper compatibility, as in check_map_func_compatibility:
 			// prog arrays are only usable by bpf_tail_call and vice versa.
 			if (reg.Map.Type == maps.ProgArray) != (h.ID == helpers.TailCall) {
-				e.cov("call:map_func_incompat")
+				e.covs(siteCallMapFuncIncompat)
 				return e.reject(i, EINVAL, "cannot pass map_type %d into func %s", reg.Map.Type, h.Name)
 			}
 		case helpers.ArgMapKey:
@@ -116,7 +116,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 				return e.reject(i, EACCES, "R%d type=%s expected=scalar", int(isa.R2)+ai, sizeReg.Type)
 			}
 			if sizeReg.UMax > isa.StackSize && sizeReg.UMax > 4096 {
-				e.cov("call:unbounded_size")
+				e.covs(siteCallUnboundedSize)
 				return e.reject(i, EACCES, "R%d unbounded memory access", int(isa.R2)+ai)
 			}
 			writable := at == helpers.ArgPtrToUninitMem
@@ -145,7 +145,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 	if h.ReleasesRef {
 		r1 := st.Reg(isa.R1)
 		if r1.Type != PtrToMem || r1.MaybeNull || r1.RefObj == 0 {
-			e.cov("call:release_unowned")
+			e.covs(siteCallReleaseUnowned)
 			return e.reject(i, EACCES, "helper %s expects a null-checked ringbuf record", h.Name)
 		}
 		ref := r1.RefObj
@@ -167,23 +167,23 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 	r0 := st.Reg(isa.R0)
 	switch h.Ret {
 	case helpers.RetInteger:
-		e.cov("call:ret_int")
+		e.covs(siteCallRetInt)
 		*r0 = unknownScalar()
 	case helpers.RetVoid:
 		r0.markNotInit()
 	case helpers.RetMapValueOrNull:
-		e.cov("call:ret_map_value_or_null")
+		e.covs(siteCallRetMapValueOrNull)
 		if meta.m == nil {
 			return e.reject(i, EINVAL, "helper %s returns map value without map arg", h.Name)
 		}
 		*r0 = RegState{Type: PtrToMapValue, Map: meta.m, MaybeNull: true, ID: e.newID()}
 		r0.zeroVar()
 	case helpers.RetBTFTask:
-		e.cov("call:ret_btf_task")
+		e.covs(siteCallRetBtfTask)
 		*r0 = RegState{Type: PtrToBTFID, BTF: btf.TaskStructID, ID: e.newID()}
 		r0.zeroVar()
 	case helpers.RetMemOrNull:
-		e.cov("call:ret_mem_or_null")
+		e.covs(siteCallRetMemOrNull)
 		// The region's size is the helper's second argument, which must
 		// be a known constant (bpf_ringbuf_reserve's verifier rule).
 		if !sizeConst.IsConst() || sizeConst.ConstVal() == 0 || sizeConst.ConstVal() > 1<<20 {
@@ -198,7 +198,7 @@ func (e *env) checkHelperCall(st *State, i int, ins isa.Instruction) error {
 			e.refCounter++
 			r0.RefObj = e.refCounter
 			st.Refs = append(st.Refs, e.refCounter)
-			e.cov("call:helper_acquire")
+			e.covs(siteCallHelperAcquire)
 		}
 	}
 	st.Insn = i + 1
@@ -223,28 +223,28 @@ func (e *env) checkAttachRestrictions(i int, h *helpers.Helper) error {
 	// path).
 	if h.ID == helpers.TracePrintk && e.prog.AttachTo == trace.TracePrintk {
 		if !e.cfg.Bugs.Has(bugs.Bug4TracePrintk) {
-			e.cov("attach:printk_rejected")
+			e.covs(siteAttachPrintkRejected)
 			return e.reject(i, EACCES, "bpf_trace_printk not allowed in programs attached to trace_printk")
 		}
-		e.cov("attach:printk_allowed_bug4")
+		e.covs(siteAttachPrintkAllowedBug4)
 	}
 	// Bug #5: programs attached to contention_begin must not call
 	// lock-taking helpers (re-entrant contention).
 	if h.ContendedLock != "" && e.prog.AttachTo == trace.ContentionBegin {
 		if !e.cfg.Bugs.Has(bugs.Bug5Contention) {
-			e.cov("attach:contention_rejected")
+			e.covs(siteAttachContentionRejected)
 			return e.reject(i, EACCES, "helper %s acquires locks and cannot attach to contention_begin", h.Name)
 		}
-		e.cov("attach:contention_allowed_bug5")
+		e.covs(siteAttachContentionAllowedBug5)
 	}
 	// Bug #6: bpf_send_signal requires a non-NMI context; perf_event
 	// programs run in NMI context.
 	if h.ID == helpers.SendSignal && e.prog.Type == isa.ProgTypePerfEvent {
 		if !e.cfg.Bugs.Has(bugs.Bug6SendSignal) {
-			e.cov("attach:signal_rejected")
+			e.covs(siteAttachSignalRejected)
 			return e.reject(i, EACCES, "bpf_send_signal not allowed in NMI context programs")
 		}
-		e.cov("attach:signal_allowed_bug6")
+		e.covs(siteAttachSignalAllowedBug6)
 	}
 	return nil
 }
@@ -259,14 +259,14 @@ func (e *env) checkHelperMemArg(st *State, i int, reg *RegState, size int, writa
 		return nil
 	}
 	if reg.MaybeNull {
-		e.cov("call:mem_or_null")
+		e.covs(siteCallMemOrNull)
 		return e.reject(i, EACCES, "R? invalid mem access '%s_or_null'", reg.Type)
 	}
 	switch reg.Type {
 	case PtrToStack:
 		off := int64(reg.Off)
 		if off >= 0 || off < -isa.StackSize || off+int64(size) > 0 {
-			e.cov("call:stack_oob")
+			e.covs(siteCallStackOob)
 			return e.reject(i, EACCES, "invalid indirect access to stack off=%d size=%d", off, size)
 		}
 		f := st.Cur()
@@ -280,7 +280,7 @@ func (e *env) checkHelperMemArg(st *State, i int, reg *RegState, size int, writa
 					f.Stack[s] = StackSlot{Kind: SlotMisc}
 					continue
 				}
-				e.cov("call:stack_uninit")
+				e.covs(siteCallStackUninit)
 				return e.reject(i, EACCES, "invalid indirect read from stack off %d", off)
 			}
 			if writable {
@@ -292,7 +292,7 @@ func (e *env) checkHelperMemArg(st *State, i int, reg *RegState, size int, writa
 		lo := int64(reg.Off) + reg.SMin
 		hi := int64(reg.Off) + reg.SMax
 		if lo < 0 || hi+int64(size) > int64(reg.Map.ValueSize) {
-			e.cov("call:map_value_oob")
+			e.covs(siteCallMapValueOob)
 			return e.reject(i, EACCES, "invalid access to map value, value_size=%d off=%d size=%d",
 				reg.Map.ValueSize, reg.Off, size)
 		}
@@ -308,7 +308,7 @@ func (e *env) checkHelperMemArg(st *State, i int, reg *RegState, size int, writa
 		}
 		return nil
 	}
-	e.cov("call:bad_mem_arg")
+	e.covs(siteCallBadMemArg)
 	return e.reject(i, EACCES, "R? type=%s expected=pointer to mem", reg.Type)
 }
 
@@ -322,7 +322,7 @@ func (e *env) checkKfuncCall(st *State, i int, ins isa.Instruction) error {
 	}
 	k := e.cfg.BTF.Kfunc(btf.TypeID(ins.Imm))
 	if k == nil {
-		e.cov("kfunc:unknown")
+		e.covs(siteKfuncUnknown)
 		return e.reject(i, EINVAL, "kernel function #%d is not allowed", ins.Imm)
 	}
 	e.covName(kfuncCallSites, "kfunc:", k.Name)
@@ -334,22 +334,22 @@ func (e *env) checkKfuncCall(st *State, i int, ins isa.Instruction) error {
 		reg := st.Reg(isa.R1 + uint8(ai))
 		if p.BTF == 0 {
 			if reg.Type != Scalar {
-				e.cov("kfunc:badarg")
+				e.covs(siteKfuncBadarg)
 				return e.reject(i, EACCES, "R%d type=%s expected=scalar", int(isa.R1)+ai, reg.Type)
 			}
 			continue
 		}
 		if reg.Type != PtrToBTFID || reg.BTF != p.BTF {
-			e.cov("kfunc:badarg")
+			e.covs(siteKfuncBadarg)
 			return e.reject(i, EACCES, "R%d type=%s expected=ptr_ to %d", int(isa.R1)+ai, reg.Type, p.BTF)
 		}
 		if reg.MaybeNull && !p.Nullable {
-			e.cov("kfunc:null_arg")
+			e.covs(siteKfuncNullArg)
 			return e.reject(i, EACCES, "R%d is ptr_or_null, null check required", int(isa.R1)+ai)
 		}
 		if k.Release {
 			if reg.RefObj == 0 {
-				e.cov("kfunc:release_unowned")
+				e.covs(siteKfuncReleaseUnowned)
 				return e.reject(i, EACCES, "release kernel function %s expects refcounted arg", k.Name)
 			}
 			releasedRef = reg.RefObj
@@ -381,7 +381,7 @@ func (e *env) checkKfuncCall(st *State, i int, ins isa.Instruction) error {
 			e.refCounter++
 			r0.RefObj = e.refCounter
 			st.Refs = append(st.Refs, e.refCounter)
-			e.cov("kfunc:acquire")
+			e.covs(siteKfuncAcquire)
 		}
 	} else {
 		*r0 = unknownScalar()
@@ -394,7 +394,7 @@ func (e *env) checkKfuncCall(st *State, i int, ins isa.Instruction) error {
 		for r := isa.R6; r <= isa.R9; r++ {
 			reg := &f.Regs[r]
 			if reg.Type == Scalar && !reg.IsConst() && reg.SMin >= 0 && reg.UMax < 1<<16 {
-				e.cov("kfunc:bug3_collapse")
+				e.covs(siteKfuncBug3Collapse)
 				*reg = constScalar(uint64(reg.SMin))
 				reg.Precise = true
 			}
@@ -418,7 +418,7 @@ func (e *env) releaseRef(st *State, id uint32) bool {
 // checkPseudoCall handles bpf-to-bpf calls: a new frame is pushed and
 // verification continues inside the callee, as in the kernel.
 func (e *env) checkPseudoCall(st *State, i int, ins isa.Instruction) error {
-	e.cov("call:pseudo")
+	e.covs(siteCallPseudo)
 	if len(st.Frames) >= maxCallFrames {
 		return e.reject(i, EINVAL, "the call stack of %d frames is too deep", len(st.Frames)+1)
 	}

@@ -483,13 +483,13 @@ func (e *env) refinePointerBranch(st *State, op uint8, ins isa.Instruction, dst,
 	if dst.MaybeNull && zeroSide(src) && (op == isa.JEQ || op == isa.JNE) {
 		isNullBranch := (op == isa.JEQ && taken) || (op == isa.JNE && !taken)
 		e.markPtrOrNullRegs(st, dst.ID, isNullBranch)
-		e.cov("jmp:null_check")
+		e.covs(siteJmpNullCheck)
 		return
 	}
 
 	// Case 2: packet pointer vs packet end.
 	if e.refinePacketBranch(st, op, dst, src, taken) {
-		e.cov("jmp:pkt_range")
+		e.covs(siteJmpPktRange)
 		return
 	}
 
@@ -515,13 +515,13 @@ func (e *env) refinePointerBranch(st *State, op uint8, ins isa.Instruction, dst,
 	// trust property, not a value property.
 	if !e.cfg.Bugs.Has(bugs.Bug1NullnessProp) &&
 		(other.Type == PtrToBTFID || nullable.Type == PtrToBTFID) {
-		e.cov("jmp:nullprop_filtered")
+		e.covs(siteJmpNullpropFiltered)
 		return
 	}
 	if other.Type == PtrToBTFID {
-		e.cov("jmp:nullprop_bug1")
+		e.covs(siteJmpNullpropBug1)
 	} else {
-		e.cov("jmp:nullprop")
+		e.covs(siteJmpNullprop)
 	}
 	e.markPtrOrNullRegs(st, nullable.ID, false)
 }
@@ -655,7 +655,7 @@ func (e *env) checkExit(st *State, i int) (bool, *State, error) {
 		return false, nil, e.reject(i, EACCES, "R0 leaks addr as return value")
 	}
 	if len(st.Refs) != 0 {
-		e.cov("exit:unreleased_ref")
+		e.covs(siteExitUnreleasedRef)
 		return false, nil, e.reject(i, EACCES, "Unreleased reference id=%d", st.Refs[0])
 	}
 	e.r0Bounds.widen(r0)

@@ -38,11 +38,11 @@ func (e *env) checkMemAccess(st *State, i int, ins isa.Instruction, isStore bool
 
 	reg := *st.Reg(base)
 	if reg.Type == Scalar {
-		e.cov("mem:scalar_base")
+		e.covs(siteMemScalarBase)
 		return e.reject(i, EACCES, "R%d invalid mem access 'scalar'", base)
 	}
 	if reg.MaybeNull {
-		e.cov("mem:maybe_null")
+		e.covs(siteMemMaybeNull)
 		return e.reject(i, EACCES, "R%d invalid mem access '%s_or_null'", base, reg.Type)
 	}
 	if err := e.recordInsnType(i, reg.Type); err != nil {
@@ -75,7 +75,7 @@ func (e *env) checkMemAccess(st *State, i int, ins isa.Instruction, isStore bool
 func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64, size int, isStore bool) error {
 	e.covStackAccess(size, isStore)
 	if off >= 0 || off < -isa.StackSize || off+int64(size) > 0 {
-		e.cov("mem:stack_oob")
+		e.covs(siteMemStackOob)
 		return e.reject(i, EACCES, "invalid stack off=%d size=%d", off, size)
 	}
 	f := st.Cur()
@@ -86,7 +86,7 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 	if isStore {
 		// A full-width register store spills the register.
 		if size == 8 && int(start)%8 == 0 && ins.Class() == isa.ClassSTX {
-			e.cov("mem:stack_spill")
+			e.covs(siteMemStackSpill)
 			f.Stack[slotLo] = StackSlot{Kind: SlotSpill, Spill: *st.Reg(ins.Src)}
 			return nil
 		}
@@ -98,7 +98,7 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 			kind = SlotZero
 		}
 		for s := slotLo; s <= slotHi; s++ {
-			e.cov("mem:stack_store")
+			e.covs(siteMemStackStore)
 			f.Stack[s] = StackSlot{Kind: kind}
 		}
 		return nil
@@ -106,19 +106,19 @@ func (e *env) checkStackAccess(st *State, i int, ins isa.Instruction, off int64,
 
 	// Load: a full-slot read of a spill restores the spilled register.
 	if size == 8 && int(start)%8 == 0 && f.Stack[slotLo].Kind == SlotSpill {
-		e.cov("mem:stack_fill")
+		e.covs(siteMemStackFill)
 		*st.Reg(ins.Dst) = f.Stack[slotLo].Spill
 		return nil
 	}
 	for s := slotLo; s <= slotHi; s++ {
 		switch f.Stack[s].Kind {
 		case SlotInvalid:
-			e.cov("mem:stack_uninit")
+			e.covs(siteMemStackUninit)
 			return e.reject(i, EACCES, "invalid read from stack off %d: uninitialized", off)
 		case SlotSpill:
 			// Partial read of a spilled register: contents become
 			// unknown bytes (allowed for privileged).
-			e.cov("mem:stack_partial_spill")
+			e.covs(siteMemStackPartialSpill)
 		}
 	}
 	dst := st.Reg(ins.Dst)
@@ -167,41 +167,41 @@ func (e *env) checkCtxAccess(st *State, i int, ins isa.Instruction, off int64, s
 		return e.reject(i, EACCES, "program type %s has no ctx", e.prog.Type)
 	}
 	if off < 0 || off+int64(size) > int64(layout.Size) {
-		e.cov("mem:ctx_oob")
+		e.covs(siteMemCtxOob)
 		return e.reject(i, EACCES, "invalid bpf_context access off=%d size=%d", off, size)
 	}
 	field := layout.FieldAt(int32(off), int32(size))
 	if field == nil {
-		e.cov("mem:ctx_badfield")
+		e.covs(siteMemCtxBadfield)
 		return e.reject(i, EACCES, "invalid bpf_context access off=%d size=%d", off, size)
 	}
 	e.covCtxField(e.prog.Type, field.Name)
 	if isStore {
 		if !field.Writable || field.Kind != CtxScalar {
-			e.cov("mem:ctx_ro")
+			e.covs(siteMemCtxRo)
 			return e.reject(i, EACCES, "cannot write into ctx field %s", field.Name)
 		}
-		e.cov("mem:ctx_write")
+		e.covs(siteMemCtxWrite)
 		return nil
 	}
 	dst := st.Reg(ins.Dst)
 	switch field.Kind {
 	case CtxScalar:
-		e.cov("mem:ctx_scalar")
+		e.covs(siteMemCtxScalar)
 		*dst = unknownScalar()
 		if size < 8 {
 			boundBySize(dst, size, false)
 		}
 	case CtxPktData:
-		e.cov("mem:ctx_pkt_data")
+		e.covs(siteMemCtxPktData)
 		*dst = RegState{Type: PtrToPacket, ID: e.newID()}
 		dst.zeroVar()
 	case CtxPktEnd:
-		e.cov("mem:ctx_pkt_end")
+		e.covs(siteMemCtxPktEnd)
 		*dst = RegState{Type: PtrToPacketEnd}
 		dst.zeroVar()
 	case CtxBTFTask, CtxBTFTaskNull:
-		e.cov("mem:ctx_btf_task")
+		e.covs(siteMemCtxBtfTask)
 		// Trusted pointer: not marked maybe_null even though the
 		// CtxBTFTaskNull field is null at runtime (see Bug #1).
 		*dst = RegState{Type: PtrToBTFID, BTF: btf.TaskStructID, ID: e.newID()}
@@ -223,11 +223,11 @@ func (e *env) checkMapValueAccess(st *State, i int, ins isa.Instruction, reg *Re
 		hi = lo
 	}
 	if lo < 0 {
-		e.cov("mem:map_value_neg")
+		e.covs(siteMemMapValueNeg)
 		return e.reject(i, EACCES, "R%d min value is outside of the allowed memory range", ins.Dst)
 	}
 	if hi+int64(size) > vsize {
-		e.cov("mem:map_value_oob")
+		e.covs(siteMemMapValueOob)
 		return e.reject(i, EACCES, "invalid access to map value, value_size=%d off=%d size=%d", vsize, hi, size)
 	}
 	if !isStore {
@@ -245,7 +245,7 @@ func (e *env) checkMapValueAccess(st *State, i int, ins isa.Instruction, reg *Re
 func (e *env) checkPacketAccess(st *State, i int, ins isa.Instruction, reg *RegState, off int64, size int, isStore bool) error {
 	e.covs(siteMemPkt)
 	if isStore && e.prog.Type == isa.ProgTypeSocketFilter {
-		e.cov("mem:pkt_ro")
+		e.covs(siteMemPktRo)
 		return e.reject(i, EACCES, "cannot write into packet")
 	}
 	if off < 0 {
@@ -255,7 +255,7 @@ func (e *env) checkPacketAccess(st *State, i int, ins isa.Instruction, reg *RegS
 		return e.reject(i, EACCES, "R%d variable offset packet access prohibited", ins.Dst)
 	}
 	if off+int64(size) > int64(reg.Range) {
-		e.cov("mem:pkt_oob")
+		e.covs(siteMemPktOob)
 		return e.reject(i, EACCES, "invalid access to packet, off=%d size=%d, R%d(id=%d,off=%d,r=%d)",
 			off, size, ins.Src, reg.ID, reg.Off, reg.Range)
 	}
@@ -276,10 +276,10 @@ func (e *env) checkBTFAccess(st *State, i int, ins isa.Instruction, reg *RegStat
 	if s := e.cfg.BTF.Struct(reg.BTF); s != nil {
 		e.covName(btfStructSites, "mem:btf:", s.Name)
 	} else {
-		e.cov("mem:btf")
+		e.covs(siteMemBtf)
 	}
 	if isStore {
-		e.cov("mem:btf_store")
+		e.covs(siteMemBtfStore)
 		return e.reject(i, EACCES, "only read is supported on btf_id pointer")
 	}
 	sizeLimit := 0
@@ -290,23 +290,23 @@ func (e *env) checkBTFAccess(st *State, i int, ins isa.Instruction, reg *RegStat
 		if s != nil {
 			sizeLimit = s.Size + 64
 		}
-		e.cov("mem:btf_bug2_limit")
+		e.covs(siteMemBtfBug2Limit)
 	}
 	field, err := e.cfg.BTF.CheckAccess(reg.BTF, int(off), size, sizeLimit)
 	if err != nil {
-		e.cov("mem:btf_oob")
+		e.covs(siteMemBtfOob)
 		return e.reject(i, EACCES, "%v", err)
 	}
 	e.probeMem[i] = true
 	dst := st.Reg(ins.Dst)
 	if field != nil && field.PointsTo != 0 && size == 8 {
-		e.cov("mem:btf_ptr_field")
+		e.covs(siteMemBtfPtrField)
 		// Loading a pointer field yields another trusted btf pointer.
 		*dst = RegState{Type: PtrToBTFID, BTF: field.PointsTo, ID: e.newID()}
 		dst.zeroVar()
 		return nil
 	}
-	e.cov("mem:btf_scalar")
+	e.covs(siteMemBtfScalar)
 	*dst = unknownScalar()
 	if size < 8 {
 		boundBySize(dst, size, false)
@@ -317,7 +317,7 @@ func (e *env) checkBTFAccess(st *State, i int, ins isa.Instruction, reg *RegStat
 // checkMemRegionAccess validates PTR_TO_MEM accesses (e.g. ringbuf
 // reservations) against the region size.
 func (e *env) checkMemRegionAccess(st *State, i int, ins isa.Instruction, reg *RegState, off int64, size int, isStore bool) error {
-	e.cov("mem:region")
+	e.covs(siteMemRegion)
 	if off < 0 || off+int64(size) > int64(reg.MemSize) {
 		return e.reject(i, EACCES, "invalid access to memory, mem_size=%d off=%d size=%d", reg.MemSize, off, size)
 	}
@@ -358,7 +358,7 @@ func (e *env) checkAtomic(st *State, i int, ins isa.Instruction) error {
 	switch reg.Type {
 	case PtrToStack, PtrToMapValue, PtrToMem:
 	default:
-		e.cov("mem:atomic_bad_base")
+		e.covs(siteMemAtomicBadBase)
 		return e.reject(i, EACCES, "atomic op on %s prohibited", reg.Type)
 	}
 	if err := e.recordInsnType(i, reg.Type); err != nil {

@@ -284,10 +284,6 @@ type env struct {
 	log strings.Builder
 }
 
-func (e *env) cov(loc string) {
-	e.lcov.HitLoc(loc)
-}
-
 func (e *env) logf(format string, args ...interface{}) {
 	if e.cfg.LogLevel > 0 {
 		fmt.Fprintf(&e.log, format, args...)
@@ -310,7 +306,7 @@ func (e *env) watchdog() error {
 }
 
 func (e *env) reject(insn int, errno int, format string, args ...interface{}) error {
-	e.cov("reject:" + rejectWord(format, args))
+	e.lcov.HitLoc("reject:" + rejectWord(format, args))
 	return &Error{Insn: insn, Errno: errno, Log: e.log.String(),
 		format: format, args: args}
 }
@@ -417,7 +413,7 @@ func Verify(prog *isa.Program, cfg *Config) (*Result, error) {
 		}
 	}
 	cacheSpent := time.Since(t0)
-	var capture []coverage.SiteCount
+	var capture []coverage.IDCount
 	res, err := verify(prog, cfg, &capture)
 	t1 := time.Now()
 	canon := CanonicalProgramBytes(prog)
@@ -441,7 +437,7 @@ func addCacheNanos(cfg *Config, d time.Duration) {
 // verify is the scratch verification path. capture, when non-nil, marks a
 // cache-miss run: the final coverage profile is exported into it for the
 // verdict-cache entry, and the trace-prefix snapshot path is active.
-func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Result, error) {
+func verify(prog *isa.Program, cfg *Config, capture *[]coverage.IDCount) (*Result, error) {
 	if cfg.MaxInsnProcessed == 0 {
 		cfg.MaxInsnProcessed = 100000
 	}
@@ -468,7 +464,7 @@ func verify(prog *isa.Program, cfg *Config, capture *[]coverage.SiteCount) (*Res
 	// Structural checks first (the kernel's resolve_pseudo_ldimm64 /
 	// check_cfg stage).
 	if err := prog.Validate(isa.MaxInsns); err != nil {
-		e.cov("reject:structural")
+		e.covs(siteRejectStructural)
 		return nil, &Error{Insn: 0, Msg: err.Error(), Errno: EINVAL}
 	}
 	if LayoutFor(prog.Type) == nil && prog.Type != isa.ProgTypeUnspec {
@@ -714,7 +710,7 @@ func (e *env) checkRegRead(st *State, i int, r uint8) error {
 		return e.reject(i, EINVAL, "R%d is invalid", r)
 	}
 	if st.Reg(r).Type == NotInit {
-		e.cov("read_uninit")
+		e.covs(siteReadUninit)
 		return e.reject(i, EACCES, "R%d !read_ok", r)
 	}
 	return nil
@@ -726,7 +722,7 @@ func (e *env) checkRegWrite(st *State, i int, r uint8) error {
 		return e.reject(i, EINVAL, "R%d is invalid", r)
 	}
 	if r == isa.R10 {
-		e.cov("write_fp")
+		e.covs(siteWriteFp)
 		return e.reject(i, EACCES, "frame pointer is read only")
 	}
 	return nil
@@ -752,7 +748,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		e.covs(siteLdImm64Const)
 		*dst = constScalar(ins.Imm64)
 	case isa.PseudoMapFD:
-		e.cov("ld_imm64:map_fd")
+		e.covs(siteLdImm64MapFd)
 		m := e.cfg.mapByFD(int32(ins.Imm64))
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(ins.Imm64))
@@ -761,7 +757,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		dst.zeroVar()
 		e.noteMap(m)
 	case isa.PseudoMapValue:
-		e.cov("ld_imm64:map_value")
+		e.covs(siteLdImm64MapValue)
 		m := e.cfg.mapByFD(int32(uint32(ins.Imm64)))
 		if m == nil {
 			return e.reject(i, EINVAL, "fd %d is not pointing to valid bpf_map", int32(uint32(ins.Imm64)))
@@ -777,7 +773,7 @@ func (e *env) checkLDImm(st *State, i int, ins isa.Instruction) error {
 		dst.zeroVar()
 		e.noteMap(m)
 	case isa.PseudoBTFID:
-		e.cov("ld_imm64:btf_id")
+		e.covs(siteLdImm64BtfId)
 		id := btf.TypeID(int32(ins.Imm64))
 		if e.cfg.BTF == nil || e.cfg.BTF.Struct(id) == nil {
 			return e.reject(i, EINVAL, "ldimm64 unable to resolve btf id %d", id)
